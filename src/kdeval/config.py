@@ -45,21 +45,17 @@ class RunConfig:
             raise ValueError(f"unknown generators: {sorted(unknown)}")
         if not 0.0 <= self.boundary_mix_weight <= 1.0:
             raise ValueError("boundary_mix_weight must be in [0, 1]")
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
         if self.kdi_params is None:
             object.__setattr__(self, "kdi_params", KdiParams(seed=self.seed))
 
     def bw_spec(self):
-        """Explicit BandwidthSearchSpec, or None for the per-cluster default."""
+        """Explicit BandwidthSearchSpec, or None for the per-cluster auto grid
+        (which still uses `folds`)."""
         if not self.bandwidth_grid:
             return None
         return BandwidthSearchSpec(grid=self.bandwidth_grid, folds=self.folds, seed=self.seed)
-
-
-_KDI_FIELDS = {f.name: f.type for f in dataclasses.fields(KdiParams)}
-
-_BOOL_KDI = ("pair_local", "boundary_members_only", "s_v3_normalize")
-_INT_KDI = ("min_cluster_size", "mc_samples", "seed")
-_STR_KDI = ("ambiguous_variant", "similarity_variant", "s_v3_center", "s_v3_metric")
 
 
 def _parse_bool(text):
@@ -73,6 +69,16 @@ def _parse_bool(text):
 
 def _parse_list(text):
     return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+# Config-file text -> value, by the annotated type of the target field.
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str.strip, tuple: _parse_list}
+_RUN_FIELDS = {
+    f.name: f.type
+    for f in dataclasses.fields(RunConfig)
+    if f.name not in ("seed", "kdi_params", "bandwidth_grid")
+}
+_KDI_FIELDS = {f.name: f.type for f in dataclasses.fields(KdiParams)}
 
 
 def load_config_file(path):
@@ -100,53 +106,21 @@ def build_run_config(seed, file_overrides=None, **cli_overrides):
     cli_overrides use RunConfig/KdiParams field names with None meaning
     'not given'.
     """
-    values = {
-        "k_min": 2,
-        "k_max": 30,
-        "indices": DEFAULT_INDICES,
-        "generators": GENERATORS,
-        "emit_svg": False,
-        "include_variants": False,
-        "boundary_mix_weight": 0.0,
-        "bandwidth_grid": (),
-        "folds": DEFAULT_FOLDS,
-    }
+    values = {}
     kdi_values = {}
-    file_overrides = file_overrides or {}
-    for (section, key), text in file_overrides.items():
-        if section == "run":
-            if key in ("k_min", "k_max", "folds"):
-                values[key] = int(text)
-            elif key == "seed":
-                seed = int(text) if seed is None else seed
-            elif key in ("emit_svg", "include_variants"):
-                values[key] = _parse_bool(text)
-            elif key == "boundary_mix_weight":
-                values[key] = float(text)
-            elif key == "indices":
-                values["indices"] = _parse_list(text)
-            elif key == "generators":
-                values["generators"] = _parse_list(text)
-            else:
-                raise ValueError(f"unknown [run] option {key!r}")
-        elif section == "bandwidth":
-            if key == "grid":
-                values["bandwidth_grid"] = tuple(float(v) for v in _parse_list(text))
-            elif key == "folds":
-                values["folds"] = int(text)
-            else:
-                raise ValueError(f"unknown [bandwidth] option {key!r}")
-        elif section == "kdi":
-            if key not in _KDI_FIELDS:
-                raise ValueError(f"unknown [kdi] option {key!r}")
-            if key in _BOOL_KDI:
-                kdi_values[key] = _parse_bool(text)
-            elif key in _INT_KDI:
-                kdi_values[key] = int(text)
-            elif key in _STR_KDI:
-                kdi_values[key] = text.strip()
-            else:
-                kdi_values[key] = float(text)
+    for (section, key), text in (file_overrides or {}).items():
+        if section == "run" and key == "seed":
+            seed = int(text) if seed is None else seed
+        elif section == "run" and key in _RUN_FIELDS:
+            values[key] = _PARSERS[_RUN_FIELDS[key]](text)
+        elif section == "bandwidth" and key == "grid":
+            values["bandwidth_grid"] = tuple(float(v) for v in _parse_list(text))
+        elif section == "bandwidth" and key == "folds":
+            values["folds"] = int(text)
+        elif section == "kdi" and key in _KDI_FIELDS:
+            kdi_values[key] = _PARSERS[_KDI_FIELDS[key]](text)
+        elif section in ("run", "bandwidth", "kdi"):
+            raise ValueError(f"unknown [{section}] option {key!r}")
         else:
             raise ValueError(f"unknown config section {section!r}")
     if seed is None:

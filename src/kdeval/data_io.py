@@ -1,9 +1,12 @@
 """Dataset ingestion: headerless CSV, whitespace-delimited text, and a small
 ARFF subset, plus synthetic blob generation for tests and demos."""
 
+import math
 import re
 
 import numpy as np
+
+from .partitions import canonicalize
 
 FORMATS = ("csv", "whitespace", "arff")
 
@@ -45,9 +48,7 @@ class Dataset:
                 raise ValueError(
                     f"reference_labels length {labels.shape} does not match n={pts.shape[0]}"
                 )
-            labels = _remap_first_occurrence(labels)
-            labels.flags.writeable = False
-            self.reference_labels = labels
+            self.reference_labels = canonicalize(labels).labels
         else:
             self.reference_labels = None
         self.id = str(id)
@@ -65,16 +66,15 @@ class Dataset:
         return f"Dataset({self.id!r}, n={self.n}, d={self.d}, {lab})"
 
 
-def _remap_first_occurrence(raw):
-    """Renumber labels so the first distinct raw label becomes 0, the second 1, ..."""
-    mapping = {}
-    out = np.empty(len(raw), dtype=np.int64)
-    for i, value in enumerate(raw):
-        key = value if not isinstance(value, np.ndarray) else value.item()
-        if key not in mapping:
-            mapping[key] = len(mapping)
-        out[i] = mapping[key]
-    return out
+def _feature(field, lineno):
+    """One coordinate; non-numeric and non-finite values are parse errors."""
+    try:
+        value = float(field)
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-numeric feature value {field!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {lineno}: non-finite feature value {field!r}")
+    return value
 
 
 def _split_line(line, fmt):
@@ -108,10 +108,7 @@ def _parse_delimited(lines, fmt, label_column, dataset_id):
             if col is not None and j == col:
                 raw_labels.append(field)
                 continue
-            try:
-                coords.append(float(field))
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric feature value {field!r}") from None
+            coords.append(_feature(field, lineno))
         rows.append(coords)
     labels = raw_labels if label_column is not None else None
     return Dataset(np.array(rows), reference_labels=labels, id=dataset_id)
@@ -180,10 +177,7 @@ def _parse_arff(lines, label_column, dataset_id):
             if label_idx is not None and j == label_idx:
                 raw_labels.append(field)
                 continue
-            try:
-                coords.append(float(field))
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric feature value {field!r}") from None
+            coords.append(_feature(field, lineno))
         rows.append(coords)
     labels = raw_labels if label_idx is not None else None
     return Dataset(np.array(rows), reference_labels=labels, id=dataset_id)

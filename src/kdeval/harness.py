@@ -25,18 +25,14 @@ from .baselines import (
 )
 from .config import config_snapshot, save_params_config
 from .kdi import (
-    ambiguous_flags,
-    ambiguous_v1,
-    ambiguous_v2,
-    ambiguous_v3,
+    AMBIGUOUS,
+    SIMILARITY,
     cross_log_density,
     fit_profiles,
     kdi_index,
     similarity_index,
-    similarity_v1,
-    similarity_v2,
-    similarity_v3,
     territory_interval,
+    territory_membership,
 )
 from .partitions import build_candidates, canonicalize, save_partitions
 from .svgplot import emit_svg
@@ -98,6 +94,11 @@ def rank_candidates(entries, direction):
     return [t[4] for t in keyed]
 
 
+def _fit_profiles(data, part, config):
+    """Cluster profiles under the run's KDI parameters and bandwidth settings."""
+    return fit_profiles(data, part, config.kdi_params, bw_spec=config.bw_spec(), folds=config.folds)
+
+
 def _score_candidate(data, part, config, record):
     """Fill one CandidateResult's score columns, recording failures."""
     scores = {}
@@ -112,8 +113,7 @@ def _score_candidate(data, part, config, record):
             record(f"{name} undefined for {part.source}: {exc}")
     if "new" in config.indices:
         params = config.kdi_params
-        bw = config.bw_spec()
-        profiles = fit_profiles(data, part, params, bw_spec=bw)
+        profiles = _fit_profiles(data, part, config)
         log_matrix = cross_log_density(data, profiles)
         score = kdi_index(data, part, params, profiles=profiles, log_matrix=log_matrix)
         scores["new"] = score.I
@@ -124,18 +124,9 @@ def _score_candidate(data, part, config, record):
             w = config.boundary_mix_weight
             scores["new3"] = (1.0 - w) * score.I + w * score.I_b
         if config.include_variants:
-            scores["ia_v1"] = ambiguous_v1(data, profiles, log_matrix, params.pair_local)
-            scores["ia_v2"] = ambiguous_v2(data, profiles, log_matrix, params.pair_local)
-            scores["ia_v3"] = ambiguous_v3(data, profiles, params.mc_samples, params.seed)
-            scores["is_v1"] = similarity_v1(profiles, data.n, params.min_cluster_size)
-            scores["is_v2"] = similarity_v2(profiles, data.n, params.min_cluster_size)
-            scores["is_v3"] = similarity_v3(
-                profiles,
-                data.n,
-                center=params.s_v3_center,
-                metric=params.s_v3_metric,
-                normalize=params.s_v3_normalize,
-            )
+            for column in VARIANT_COLUMNS:
+                table = AMBIGUOUS if column.startswith("ia_") else SIMILARITY
+                scores[column] = table[column[3:]](data, profiles, log_matrix, params)
         bandwidths = tuple(p.model.bandwidth for p in profiles)
     return scores, bandwidths
 
@@ -381,7 +372,7 @@ def calibrate(config, training_datasets, out_path=None):
         reference = canonicalize(ds.reference_labels, source="reference")
         info = []
         for part in candidates:
-            profiles = fit_profiles(ds, part, base, bw_spec=config.bw_spec())
+            profiles = _fit_profiles(ds, part, config)
             matrix = cross_log_density(ds, profiles)
             i_s, _ = similarity_index(profiles, ds.n, base.min_cluster_size)
             stats = [(float(p.g.min()), float(p.g.max()), p.delta_g) for p in profiles]
@@ -402,7 +393,7 @@ def calibrate(config, training_datasets, out_path=None):
                     territory_interval(g_min, g_max, dg, alpha, alpha, base.beta1, base.beta2)
                     for (g_min, g_max, dg) in cand["stats"]
                 ]
-                flags = ambiguous_flags(cand["matrix"], intervals)
+                flags = territory_membership(cand["matrix"], intervals).sum(axis=1) >= 2
                 ia_values.append(int(flags.sum()) / flags.shape[0])
             for delta in CALIBRATION_DELTAS:
                 entries = [

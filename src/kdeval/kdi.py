@@ -26,9 +26,6 @@ from .density import (
 
 LIKELIHOOD_FLOOR = 1e-300
 
-AMBIGUOUS_VARIANTS = ("main", "v1", "v2", "v3")
-SIMILARITY_VARIANTS = ("main", "v1", "v2", "v3")
-
 
 @dataclass(frozen=True)
 class KdiParams:
@@ -65,10 +62,10 @@ class KdiParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.ambiguous_variant not in AMBIGUOUS_VARIANTS:
-            raise ValueError(f"ambiguous_variant must be one of {AMBIGUOUS_VARIANTS}")
-        if self.similarity_variant not in SIMILARITY_VARIANTS:
-            raise ValueError(f"similarity_variant must be one of {SIMILARITY_VARIANTS}")
+        if self.ambiguous_variant not in AMBIGUOUS:
+            raise ValueError(f"ambiguous_variant must be one of {tuple(AMBIGUOUS)}")
+        if self.similarity_variant not in SIMILARITY:
+            raise ValueError(f"similarity_variant must be one of {tuple(SIMILARITY)}")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
 
@@ -115,14 +112,14 @@ def territory_interval(g_min, g_max, delta_g, alpha1, alpha2, beta1, beta2):
     return (g_min - alpha1 * delta_g, g_max + alpha2 * delta_g)
 
 
-def fit_profiles(data, partition, params, bw_spec=None):
+def fit_profiles(data, partition, params, bw_spec=None, folds=DEFAULT_FOLDS):
     """Fit one density profile per cluster.
 
     Bandwidths come from cross-validated grid search (per-cluster
-    scale-relative grid when bw_spec is None), falling back to the Scott-style
-    rule for clusters smaller than the fold count.  Deterministic given
-    params.seed, and independent of cluster numbering: every cluster uses the
-    same seed on its own member set.
+    scale-relative grid with `folds` folds when bw_spec is None), falling back
+    to the Scott-style rule for clusters smaller than the fold count.
+    Deterministic given params.seed, and independent of cluster numbering:
+    every cluster uses the same seed on its own member set.
     """
     X = data.points
     labels = partition.labels
@@ -132,10 +129,7 @@ def fit_profiles(data, partition, params, bw_spec=None):
     for q in range(partition.K):
         idx = np.flatnonzero(labels == q)
         pts = X[idx]
-        if bw_spec is None:
-            h = choose_bandwidth(pts, spec=None, folds=DEFAULT_FOLDS, seed=params.seed)
-        else:
-            h = choose_bandwidth(pts, spec=bw_spec)
+        h = choose_bandwidth(pts, spec=bw_spec, folds=folds, seed=params.seed)
         model = fit_kde(pts, h)
         g = log_density_many(model, pts)
         like = np.maximum(np.exp(g), LIKELIHOOD_FLOOR)
@@ -163,8 +157,7 @@ def territory_contains(profile, y):
     """True iff the query's log-likelihood under this cluster's estimator lies
     in the (closed) territory interval."""
     value = log_density(profile.model, y)
-    lo, hi = profile.territory
-    return lo <= value <= hi
+    return bool(territory_membership(np.array([[value]]), [profile.territory])[0, 0])
 
 
 def cross_log_density(data, profiles):
@@ -176,20 +169,19 @@ def cross_log_density(data, profiles):
     return out
 
 
-def _in_territory(log_matrix, profiles):
-    out = np.zeros(log_matrix.shape, dtype=bool)
+def territory_membership(log_matrix, intervals):
+    """(n, K) bool matrix: column j's log-likelihoods inside the closed
+    interval intervals[j].  The one place points are assigned to territories."""
+    lo, hi = np.asarray(intervals, dtype=np.float64).reshape(-1, 2).T
+    return (log_matrix >= lo) & (log_matrix <= hi)
+
+
+def _member_mask(profiles, n):
+    """(n, K) bool matrix: point i is a member of cluster j."""
+    mask = np.zeros((n, len(profiles)), dtype=bool)
     for j, profile in enumerate(profiles):
-        lo, hi = profile.territory
-        out[:, j] = (log_matrix[:, j] >= lo) & (log_matrix[:, j] <= hi)
-    return out
-
-
-def ambiguous_flags(log_matrix, intervals):
-    """Per-point flags: inside two or more of the given (lo, hi) intervals."""
-    hits = np.zeros(log_matrix.shape[0], dtype=np.int64)
-    for j, (lo, hi) in enumerate(intervals):
-        hits += ((log_matrix[:, j] >= lo) & (log_matrix[:, j] <= hi)).astype(np.int64)
-    return hits >= 2
+        mask[profile.member_indices, j] = True
+    return mask
 
 
 def ambiguous_index(data, profiles, log_matrix=None):
@@ -201,7 +193,7 @@ def ambiguous_index(data, profiles, log_matrix=None):
         raise ValueError("need at least one profile")
     if log_matrix is None:
         log_matrix = cross_log_density(data, profiles)
-    flags = ambiguous_flags(log_matrix, [p.territory for p in profiles])
+    flags = territory_membership(log_matrix, [p.territory for p in profiles]).sum(axis=1) >= 2
     return int(flags.sum()) / flags.shape[0], flags
 
 
@@ -235,20 +227,12 @@ def boundary_index(data, profiles, rho, log_matrix=None, members_only=False):
         raise ValueError("rho must be >= 0")
     if log_matrix is None:
         log_matrix = cross_log_density(data, profiles)
-    n = log_matrix.shape[0]
-    k = len(profiles)
-    total = 0
-    for j, profile in enumerate(profiles):
-        g_min = float(profile.g.min())
-        lo, hi = g_min, g_min + rho * profile.delta_g
-        column = log_matrix[:, j]
-        inside = (column >= lo) & (column <= hi)
-        if members_only:
-            mask = np.zeros(n, dtype=bool)
-            mask[profile.member_indices] = True
-            inside = inside & mask
-        total += int(inside.sum())
-    return total / (k * n)
+    n, k = log_matrix.shape
+    bands = [(float(p.g.min()), float(p.g.min()) + rho * p.delta_g) for p in profiles]
+    inside = territory_membership(log_matrix, bands)
+    if members_only:
+        inside &= _member_mask(profiles, n)
+    return int(inside.sum()) / (k * n)
 
 
 def pairwise_ambiguous(data, profiles, log_matrix=None, pair_local=True):
@@ -260,20 +244,15 @@ def pairwise_ambiguous(data, profiles, log_matrix=None, pair_local=True):
     """
     if log_matrix is None:
         log_matrix = cross_log_density(data, profiles)
-    in_t = _in_territory(log_matrix, profiles)
-    k = len(profiles)
-    n = log_matrix.shape[0]
+    in_t = territory_membership(log_matrix, [p.territory for p in profiles])
+    n, k = log_matrix.shape
+    members = _member_mask(profiles, n)
     out = np.zeros((k, k))
-    member_masks = []
-    for profile in profiles:
-        mask = np.zeros(n, dtype=bool)
-        mask[profile.member_indices] = True
-        member_masks.append(mask)
     for i in range(k):
         for j in range(i + 1, k):
             both = in_t[:, i] & in_t[:, j]
             if pair_local:
-                union = member_masks[i] | member_masks[j]
+                union = members[:, i] | members[:, j]
                 denom = int(union.sum())
                 count = int((both & union).sum())
             else:
@@ -325,11 +304,8 @@ def ambiguous_v3(data, profiles, mc_samples, seed):
     lo, hi = sampling_box(data.points)
     rng = np.random.default_rng(seed)
     samples = rng.uniform(lo, hi, size=(int(mc_samples), data.points.shape[1]))
-    hits = np.zeros(samples.shape[0], dtype=np.int64)
-    for profile in profiles:
-        t_lo, t_hi = profile.territory
-        values = log_density_many(profile.model, samples)
-        hits += ((values >= t_lo) & (values <= t_hi)).astype(np.int64)
+    values = np.column_stack([log_density_many(p.model, samples) for p in profiles])
+    hits = territory_membership(values, [p.territory for p in profiles]).sum(axis=1)
     in_any = int((hits >= 1).sum())
     if in_any == 0:
         return 0.0
@@ -393,6 +369,25 @@ def similarity_v3(profiles, n_total, center="mean", metric="abs", normalize=Fals
     return math.fsum(contributions) / n_total
 
 
+# Variant name -> fn(data, profiles, log_matrix, params).  Entries call the
+# public functions through module globals, so wrapping one of them (to trace
+# it, say) also wraps its entry.
+AMBIGUOUS = {
+    "main": lambda data, prof, lm, p: ambiguous_index(data, prof, lm)[0],
+    "v1": lambda data, prof, lm, p: ambiguous_v1(data, prof, lm, p.pair_local),
+    "v2": lambda data, prof, lm, p: ambiguous_v2(data, prof, lm, p.pair_local),
+    "v3": lambda data, prof, lm, p: ambiguous_v3(data, prof, p.mc_samples, p.seed),
+}
+SIMILARITY = {
+    "main": lambda data, prof, lm, p: similarity_index(prof, data.n, p.min_cluster_size)[0],
+    "v1": lambda data, prof, lm, p: similarity_v1(prof, data.n, p.min_cluster_size),
+    "v2": lambda data, prof, lm, p: similarity_v2(prof, data.n, p.min_cluster_size),
+    "v3": lambda data, prof, lm, p: similarity_v3(
+        prof, data.n, center=p.s_v3_center, metric=p.s_v3_metric, normalize=p.s_v3_normalize
+    ),
+}
+
+
 def kdi_index(data, partition, params, bw_spec=None, profiles=None, log_matrix=None):
     """Full index for one partition: fit profiles, evaluate the selected
     ambiguous and similarity variants, mix with delta, and attach the boundary
@@ -406,34 +401,10 @@ def kdi_index(data, partition, params, bw_spec=None, profiles=None, log_matrix=N
     if log_matrix is None:
         log_matrix = cross_log_density(data, profiles)
 
-    i_a_main, flags = ambiguous_index(data, profiles, log_matrix=log_matrix)
-    variant = params.ambiguous_variant
-    if variant == "main":
-        i_a = i_a_main
-    elif variant == "v1":
-        i_a = ambiguous_v1(data, profiles, log_matrix=log_matrix, pair_local=params.pair_local)
-    elif variant == "v2":
-        i_a = ambiguous_v2(data, profiles, log_matrix=log_matrix, pair_local=params.pair_local)
-    else:
-        i_a = ambiguous_v3(data, profiles, params.mc_samples, params.seed)
-
-    i_s_main, s_values = similarity_index(profiles, data.n, params.min_cluster_size)
-    variant = params.similarity_variant
-    if variant == "main":
-        i_s = i_s_main
-    elif variant == "v1":
-        i_s = similarity_v1(profiles, data.n, params.min_cluster_size)
-    elif variant == "v2":
-        i_s = similarity_v2(profiles, data.n, params.min_cluster_size)
-    else:
-        i_s = similarity_v3(
-            profiles,
-            data.n,
-            center=params.s_v3_center,
-            metric=params.s_v3_metric,
-            normalize=params.s_v3_normalize,
-        )
-
+    _, flags = ambiguous_index(data, profiles, log_matrix=log_matrix)
+    _, s_values = similarity_index(profiles, data.n, params.min_cluster_size)
+    i_a = AMBIGUOUS[params.ambiguous_variant](data, profiles, log_matrix, params)
+    i_s = SIMILARITY[params.similarity_variant](data, profiles, log_matrix, params)
     i_b = boundary_index(
         data,
         profiles,

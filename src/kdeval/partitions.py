@@ -144,14 +144,15 @@ def _log_gaussians(X, means, chols):
     return out
 
 
-def _em_init(X, k, seed, kind):
+def _em_init(data, k, seed, kind):
+    X = data.points
     n, d = X.shape
     rng = np.random.default_rng(_derive_seed(seed, 1))
     means = np.empty((k, d))
     covs = np.empty((k, d, d))
     weights = np.full(k, 1.0 / k)
     if kind == "kmeans":
-        init = kmeans(_PointsView(X), k, seed)
+        init = kmeans(data, k, seed)
         for j in range(k):
             members = X[init.labels == j] if j < init.K else X[rng.integers(n)].reshape(1, -1)
             means[j] = members.mean(axis=0)
@@ -168,8 +169,9 @@ def _em_init(X, k, seed, kind):
     return means, covs, weights
 
 
-def _em_once(X, k, seed, init_kind="kmeans"):
-    means, covs, weights = _em_init(X, k, seed, init_kind)
+def _em_once(data, k, seed, init_kind="kmeans"):
+    X = data.points
+    means, covs, weights = _em_init(data, k, seed, init_kind)
     prev_ll = -np.inf
     resp = None
     ll = -np.inf
@@ -194,16 +196,10 @@ def _em_once(X, k, seed, init_kind="kmeans"):
     return resp.argmax(axis=1), ll
 
 
+# Not scipy's logsumexp: that differs in the last bit on some rows, which can move EM labels.
 def _logsumexp_rows(a):
     m = a.max(axis=1)
     return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-
-
-class _PointsView:
-    """Minimal Dataset stand-in so generators can share a raw array."""
-
-    def __init__(self, points):
-        self.points = points
 
 
 def gmm_em(data, k, seed):
@@ -224,7 +220,7 @@ def gmm_em(data, k, seed):
     while done < GMM_INITS and attempt < GMM_INITS + EM_MAX_RESTARTS:
         kind = "kmeans" if done == 0 else "random"
         try:
-            labels, ll = _em_once(X, k, _derive_seed(seed, attempt), init_kind=kind)
+            labels, ll = _em_once(data, k, _derive_seed(seed, attempt), init_kind=kind)
             results.append((ll, done, labels))
             done += 1
         except np.linalg.LinAlgError as exc:
@@ -242,16 +238,20 @@ def _linkage_tree(data, method):
     return linkage(data.points, method=method)
 
 
+def _cut_tree(tree, n, k, source):
+    """Partition of n points cut from a linkage tree at k clusters; k == n
+    gives singletons and needs no tree."""
+    labels = np.arange(n) if k == n else fcluster(tree, t=k, criterion="maxclust")
+    return canonicalize(labels, source=source)
+
+
 def agglomerative(data, k, linkage_method):
     """Bottom-up merging (Lance-Williams distances) cut at k clusters."""
-    X = data.points
-    if not 1 <= k <= X.shape[0]:
-        raise ValueError(f"k must be in 1..n={X.shape[0]}, got {k}")
-    if k == X.shape[0]:
-        return canonicalize(np.arange(X.shape[0]), source=f"agg-{linkage_method}-k{k}")
-    tree = _linkage_tree(data, linkage_method)
-    labels = fcluster(tree, t=k, criterion="maxclust")
-    return canonicalize(labels, source=f"agg-{linkage_method}-k{k}")
+    n = data.points.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in 1..n={n}, got {k}")
+    tree = _linkage_tree(data, linkage_method) if k < n else None
+    return _cut_tree(tree, n, k, f"agg-{linkage_method}-k{k}")
 
 
 def build_candidates(data, k_range, seed, generators=GENERATORS):
@@ -292,11 +292,7 @@ def build_candidates(data, k_range, seed, generators=GENERATORS):
                     method = gen.split("-", 1)[1]
                     if method not in trees:
                         continue
-                    if k == data.n:
-                        labels = np.arange(data.n)
-                    else:
-                        labels = fcluster(trees[method], t=k, criterion="maxclust")
-                    part = canonicalize(labels, source=f"{gen}-k{k}")
+                    part = _cut_tree(trees[method], data.n, k, f"{gen}-k{k}")
             except Exception as exc:
                 warnings.warn(f"generator {gen} failed for k={k}: {exc}")
                 continue

@@ -80,6 +80,18 @@ def test_non_numeric_reports_line(tmp_path):
         load_dataset(path, "csv")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+def test_non_finite_reports_line(tmp_path, value):
+    path = tmp_path / "a.csv"
+    path.write_text(f"0,0\n1,1\n2,{value}\n3,nan\n")
+    with pytest.raises(ParseError, match="line 3: non-finite"):
+        load_dataset(path, "csv")
+    arff = tmp_path / "a.arff"
+    arff.write_text(f"@relation r\n@attribute x numeric\n@data\n1\n{value}\n")
+    with pytest.raises(ParseError, match="line 5: non-finite"):
+        load_dataset(arff, "arff")
+
+
 def test_empty_file_distinct_error(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("")

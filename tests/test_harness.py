@@ -1,9 +1,10 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from kdeval import cli
+from kdeval import cli, harness
 from kdeval.baselines import HIGHER_BETTER, SMALLER_BETTER
 from kdeval.config import (
     ENV_CONFIG,
@@ -20,7 +21,17 @@ from kdeval.harness import (
     write_accuracy,
     write_report,
 )
-from kdeval.kdi import KdiParams
+from kdeval.kdi import (
+    KdiParams,
+    ambiguous_v1,
+    ambiguous_v2,
+    ambiguous_v3,
+    cross_log_density,
+    fit_profiles,
+    similarity_v1,
+    similarity_v2,
+    similarity_v3,
+)
 from kdeval.partitions import canonicalize
 from kdeval.svgplot import emit_svg
 
@@ -255,6 +266,65 @@ def test_config_file_and_env(tmp_path, monkeypatch):
     assert resolve_config_path("explicit.ini") == "explicit.ini"
 
 
+def test_params_config_round_trip(tmp_path):
+    defaults = KdiParams()
+    params = KdiParams(
+        delta=0.3, alpha1=2.0, alpha2=1.5, beta1=0.5, beta2=0.25, rho=0.75,
+        min_cluster_size=4, ambiguous_variant="v2", similarity_variant="v3",
+        mc_samples=123, seed=7, pair_local=False, boundary_members_only=True,
+        s_v3_center="median", s_v3_metric="squared", s_v3_normalize=False,
+    )
+    for f in dataclasses.fields(KdiParams):
+        assert getattr(params, f.name) != getattr(defaults, f.name), f.name
+    path = tmp_path / "params.ini"
+    save_params_config(path, params, seed=11)
+    config = build_run_config(seed=None, file_overrides=load_config_file(path))
+    assert config.seed == 11
+    assert config.kdi_params == params
+
+
+def test_config_file_run_and_bandwidth_sections(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[run]\nseed = 3\nk_max = 4\nindices = new, ch\nemit_svg = yes\n"
+        "boundary_mix_weight = 0.5\n[bandwidth]\ngrid = 0.5, 1.0\nfolds = 3\n"
+    )
+    config = build_run_config(seed=None, file_overrides=load_config_file(path))
+    assert (config.seed, config.k_min, config.k_max) == (3, 2, 4)
+    assert config.indices == ("new", "ch") and config.emit_svg is True
+    assert config.boundary_mix_weight == 0.5
+    assert config.bandwidth_grid == (0.5, 1.0) and config.folds == 3
+    for text in ("[run]\nbandwidth_grid = 1\n", "[kdi]\nnope = 1\n", "[other]\nx = 1\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="unknown"):
+            build_run_config(seed=1, file_overrides=load_config_file(path))
+
+
+def test_folds_apply_to_auto_grid(monkeypatch):
+    ds = make_blobs(2, 30, [(0.0, 0.0), (8.0, 8.0)], sigma=0.5, seed=6)
+    ref = canonicalize(ds.reference_labels, source="reference")
+    bandwidths = {}
+    for folds in (2, 5, 10):
+        config = build_run_config(seed=1, indices=("new",), folds=folds)
+        report = evaluate_dataset(config, ds, candidates=[ref])
+        bandwidths[folds] = report.rows[0].bandwidths
+        direct = fit_profiles(ds, ref, config.kdi_params, folds=folds)
+        assert bandwidths[folds] == tuple(p.model.bandwidth for p in direct)
+    assert bandwidths[2] != bandwidths[5]
+    # calibrate fits its profiles with the same folds
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("folds"))
+        return fit_profiles(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_profiles", spy)
+    calibrate(build_run_config(seed=1, k_min=2, k_max=2, folds=3), [ds])
+    assert seen and set(seen) == {3}
+    with pytest.raises(ValueError, match="folds"):
+        build_run_config(seed=1, folds=1)
+
+
 def test_seed_is_mandatory():
     with pytest.raises(ValueError):
         build_run_config(seed=None)
@@ -309,6 +379,24 @@ def test_variant_columns_and_boundary_mix():
     w = 0.25
     expected = (1 - w) * row.scores["new"] + w * row.scores["new_ib"]
     assert row.scores["new3"] == pytest.approx(expected, abs=1e-15)
+    # each variant column is the standalone public function on the same profiles
+    p = config.kdi_params
+    for row, part in zip(report.rows, report.candidates):
+        profiles = fit_profiles(ds, part, p, folds=config.folds)
+        lm = cross_log_density(ds, profiles)
+        expected = {
+            "ia_v1": ambiguous_v1(ds, profiles, lm, p.pair_local),
+            "ia_v2": ambiguous_v2(ds, profiles, lm, p.pair_local),
+            "ia_v3": ambiguous_v3(ds, profiles, p.mc_samples, p.seed),
+            "is_v1": similarity_v1(profiles, ds.n, p.min_cluster_size),
+            "is_v2": similarity_v2(profiles, ds.n, p.min_cluster_size),
+            "is_v3": similarity_v3(
+                profiles, ds.n, center=p.s_v3_center, metric=p.s_v3_metric,
+                normalize=p.s_v3_normalize,
+            ),
+        }
+        for col, value in expected.items():
+            assert row.scores[col] == value, (part.source, col)
 
 
 def test_cli_exit_codes(tmp_path):
@@ -321,3 +409,7 @@ def test_cli_exit_codes(tmp_path):
     ok = tmp_path / "ok.csv"
     save_dataset_csv(_easy_dataset(), ok)
     assert cli.main(["evaluate", str(ok)]) == 1
+    # a non-finite value is a data error, not a usage error
+    nan = tmp_path / "nan.csv"
+    nan.write_text("0,0\n1,nan\n2,2\n")
+    assert cli.main(["evaluate", str(nan), "--seed", "1", "--out", str(tmp_path / "o")]) == 2

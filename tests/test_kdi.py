@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from kdeval.kdi import (
     similarity_v2,
     similarity_v3,
     territory_contains,
+    territory_membership,
 )
 from kdeval.partitions import canonicalize
 
@@ -371,3 +374,37 @@ def test_kdi_variant_selection_changes_fields():
     assert v1.I_a == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert v1.I == pytest.approx(0.5 * v1.I_a + 0.5 * v1.I_s, abs=1e-15)
     assert main.ambiguous_count == v1.ambiguous_count  # main-definition count
+
+
+def test_kdi_index_dispatches_every_variant_pair():
+    ds, labels = _one_pair_overlap()
+    part = canonicalize(labels)
+    base = KdiParams(seed=1, delta=0.3, mc_samples=2000, s_v3_center="median")
+    profiles = fit_profiles(ds, part, base, bw_spec=SPEC)
+    lm = cross_log_density(ds, profiles)
+    ambiguous = {
+        "main": ambiguous_index(ds, profiles, lm)[0],
+        "v1": ambiguous_v1(ds, profiles, lm, pair_local=True),
+        "v2": ambiguous_v2(ds, profiles, lm, pair_local=True),
+        "v3": ambiguous_v3(ds, profiles, 2000, 1),
+    }
+    similarity = {
+        "main": similarity_index(profiles, ds.n)[0],
+        "v1": similarity_v1(profiles, ds.n),
+        "v2": similarity_v2(profiles, ds.n),
+        "v3": similarity_v3(profiles, ds.n, center="median", normalize=True),
+    }
+    assert len(set(ambiguous.values())) > 1 and len(set(similarity.values())) > 1
+    for a, s in itertools.product(ambiguous, similarity):
+        params = dataclasses.replace(base, ambiguous_variant=a, similarity_variant=s)
+        score = kdi_index(ds, part, params, bw_spec=SPEC)
+        assert score.I_a == ambiguous[a], (a, s)
+        assert score.I_s == similarity[s], (a, s)
+        assert score.I == 0.3 * ambiguous[a] + 0.7 * similarity[s]
+
+
+def test_territory_membership_closed_intervals():
+    log_matrix = np.array([[-1.0, 5.0], [0.0, 2.0], [2.0, 1.999]])
+    inside = territory_membership(log_matrix, [(-1.0, 0.0), (2.0, 5.0)])
+    np.testing.assert_array_equal(inside, [[True, True], [True, True], [False, False]])
+    assert territory_membership(np.empty((3, 0)), []).shape == (3, 0)
