@@ -78,23 +78,20 @@ def silhouette(data, partition):
         raise UndefinedScoreError(f"silhouette needs 2 <= K <= n-1, got K={K}, n={n}")
     dist = cdist(X, X)
     sizes = np.bincount(labels, minlength=K)
-    # mean distance from each sample to each cluster
+    # summed distance from each sample to each cluster
     cluster_sums = np.zeros((n, K))
     for q in range(K):
         cluster_sums[:, q] = dist[:, labels == q].sum(axis=1)
+    rows = np.arange(n)
+    own_size = sizes[labels]
+    a = cluster_sums[rows, labels] / np.maximum(own_size - 1, 1)
+    other = cluster_sums / sizes
+    other[rows, labels] = np.inf
+    b = other.min(axis=1)
+    denom = np.maximum(a, b)
+    defined = (own_size > 1) & (denom > 0)
     s_values = np.zeros(n)
-    for i in range(n):
-        q = labels[i]
-        if sizes[q] == 1:
-            continue
-        a = cluster_sums[i, q] / (sizes[q] - 1)
-        b = np.inf
-        for r in range(K):
-            if r == q:
-                continue
-            b = min(b, cluster_sums[i, r] / sizes[r])
-        denom = max(a, b)
-        s_values[i] = (b - a) / denom if denom > 0 else 0.0
+    s_values[defined] = (b - a)[defined] / denom[defined]
     return IndexScore("sc", float(s_values.mean()), HIGHER_BETTER)
 
 

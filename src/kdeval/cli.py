@@ -161,7 +161,10 @@ def _cmd_calibrate(args):
 def _cmd_rank(args):
     config = _config_from_args(args)
     dataset = _load(args.dataset, args)
-    candidates = load_partitions(args.partitions)
+    try:
+        candidates = load_partitions(args.partitions)
+    except ValueError as exc:  # no partitions, or an unreadable label file
+        raise DataError(str(exc)) from exc
     for part in candidates:
         if part.n != dataset.n:
             raise DataError(

@@ -27,7 +27,8 @@ class Dataset:
     """Immutable point set with optional reference labels.
 
     points       : (n, d) float64 array, all finite, d >= 1
-    reference_labels : (n,) int array or None, remapped to 0..k-1
+    reference_labels : (n,) int array or None; any hashable raw labels (class
+                   names, say) are remapped to 0..k-1 by first occurrence
     id           : short name used in reports
     """
 
@@ -43,7 +44,7 @@ class Dataset:
         pts.flags.writeable = False
         self.points = pts
         if reference_labels is not None:
-            labels = np.asarray(reference_labels, dtype=np.int64)
+            labels = np.asarray(reference_labels)
             if labels.shape != (pts.shape[0],):
                 raise ValueError(
                     f"reference_labels length {labels.shape} does not match n={pts.shape[0]}"

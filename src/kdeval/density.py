@@ -62,11 +62,15 @@ class BandwidthSearchSpec:
         object.__setattr__(self, "grid", grid)
 
 
+def _as_points(points):
+    """Points as a float64 (m, d) array; a 1-D input is m points in one dimension."""
+    pts = np.asarray(points, dtype=np.float64)
+    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
+
+
 def fit_kde(points, h):
     """Build a Gaussian KDE model from the points with bandwidth h."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_points(points)
     if pts.shape[0] < 1:
         raise ValueError("cannot fit a KDE on an empty point set")
     h = float(h)
@@ -109,9 +113,7 @@ def select_bandwidth(points, spec):
     Raises ValueError when there are fewer points than folds; callers fall
     back to fallback_bandwidth in that case.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_points(points)
     m = pts.shape[0]
     if len(spec.grid) == 1:
         return spec.grid[0]
@@ -141,9 +143,7 @@ def select_bandwidth(points, spec):
 def fallback_bandwidth(points):
     """Scott-style rule h = sigma_hat * m^(-1/(d+4)) for clusters where CV is
     undefined; coincident or single points get h = 1.0."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_points(points)
     m, d = pts.shape
     if m < 1:
         raise ValueError("need at least one point")
@@ -156,9 +156,7 @@ def fallback_bandwidth(points):
 def cluster_scale(points, seed=0):
     """Median pairwise distance, computed on a seeded subsample of at most
     MEDIAN_SUBSAMPLE points.  Zero when all points coincide."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_points(points)
     m = pts.shape[0]
     if m < 2:
         return 0.0
@@ -176,9 +174,7 @@ def auto_search_spec(points, folds=DEFAULT_FOLDS, seed=0):
     cluster is smaller than the fold count; callers then use
     fallback_bandwidth.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_points(points)
     if pts.shape[0] < folds:
         return None
     s = cluster_scale(pts, seed=seed)
@@ -191,13 +187,9 @@ def auto_search_spec(points, folds=DEFAULT_FOLDS, seed=0):
 def choose_bandwidth(points, spec=None, folds=DEFAULT_FOLDS, seed=0):
     """Bandwidth for one cluster: CV grid search when feasible, otherwise the
     fallback rule.  With spec=None a scale-relative grid is built first."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _as_points(points)
     if spec is None:
         spec = auto_search_spec(pts, folds=folds, seed=seed)
-        if spec is None:
-            return fallback_bandwidth(pts)
-    if pts.shape[0] < spec.folds:
+    if spec is None or pts.shape[0] < spec.folds:
         return fallback_bandwidth(pts)
     return select_bandwidth(pts, spec)

@@ -114,8 +114,7 @@ def _score_candidate(data, part, config, record):
     if "new" in config.indices:
         params = config.kdi_params
         profiles = _fit_profiles(data, part, config)
-        log_matrix = cross_log_density(data, profiles)
-        score = kdi_index(data, part, params, profiles=profiles, log_matrix=log_matrix)
+        score = kdi_index(data, part, params, profiles=profiles)
         scores["new"] = score.I
         scores["new_ia"] = score.I_a
         scores["new_is"] = score.I_s
@@ -126,7 +125,7 @@ def _score_candidate(data, part, config, record):
         if config.include_variants:
             for column in VARIANT_COLUMNS:
                 table = AMBIGUOUS if column.startswith("ia_") else SIMILARITY
-                scores[column] = table[column[3:]](data, profiles, log_matrix, params)
+                scores[column] = table[column[3:]](data, profiles, params)
         bandwidths = tuple(p.model.bandwidth for p in profiles)
     return scores, bandwidths
 

@@ -73,7 +73,9 @@ class KdiParams:
 @dataclass(frozen=True)
 class ClusterDensityProfile:
     """Fitted per-cluster profile: KDE model, member log-likelihoods G_q,
-    clamped likelihoods L_q, their spread, and the derived intervals."""
+    clamped likelihoods L_q, their spread, the territory interval, and the
+    log-likelihood of every dataset point under the cluster's KDE (G_q is
+    its member slice)."""
 
     label: int
     member_indices: np.ndarray
@@ -82,7 +84,7 @@ class ClusterDensityProfile:
     likelihoods: np.ndarray
     delta_g: float
     territory: tuple
-    boundary_band: tuple
+    log_column: np.ndarray
 
     @property
     def n_members(self):
@@ -119,7 +121,8 @@ def fit_profiles(data, partition, params, bw_spec=None, folds=DEFAULT_FOLDS):
     scale-relative grid with `folds` folds when bw_spec is None), falling back
     to the Scott-style rule for clusters smaller than the fold count.
     Deterministic given params.seed, and independent of cluster numbering:
-    every cluster uses the same seed on its own member set.
+    every cluster uses the same seed on its own member set.  Each cluster's
+    KDE is evaluated once, over the whole dataset.
     """
     X = data.points
     labels = partition.labels
@@ -131,11 +134,14 @@ def fit_profiles(data, partition, params, bw_spec=None, folds=DEFAULT_FOLDS):
         pts = X[idx]
         h = choose_bandwidth(pts, spec=bw_spec, folds=folds, seed=params.seed)
         model = fit_kde(pts, h)
-        g = log_density_many(model, pts)
+        column = log_density_many(model, X)
+        g = column[idx]
         like = np.maximum(np.exp(g), LIKELIHOOD_FLOOR)
         spread = float(np.std(g))
-        g_min = float(g.min())
-        g_max = float(g.max())
+        territory = territory_interval(
+            float(g.min()), float(g.max()), spread,
+            params.alpha1, params.alpha2, params.beta1, params.beta2,
+        )
         profiles.append(
             ClusterDensityProfile(
                 label=q,
@@ -144,10 +150,8 @@ def fit_profiles(data, partition, params, bw_spec=None, folds=DEFAULT_FOLDS):
                 g=g,
                 likelihoods=like,
                 delta_g=spread,
-                territory=territory_interval(
-                    g_min, g_max, spread, params.alpha1, params.alpha2, params.beta1, params.beta2
-                ),
-                boundary_band=(g_min, g_min + params.rho * spread),
+                territory=territory,
+                log_column=column,
             )
         )
     return profiles
@@ -161,12 +165,9 @@ def territory_contains(profile, y):
 
 
 def cross_log_density(data, profiles):
-    """(n, K) matrix of every point's log-likelihood under every cluster."""
-    n = data.points.shape[0]
-    out = np.empty((n, len(profiles)))
-    for j, profile in enumerate(profiles):
-        out[:, j] = log_density_many(profile.model, data.points)
-    return out
+    """(n, K) matrix of every point's log-likelihood under every cluster,
+    stacked from the profiles' stored columns."""
+    return np.column_stack([p.log_column for p in profiles])
 
 
 def territory_membership(log_matrix, intervals):
@@ -244,22 +245,21 @@ def pairwise_ambiguous(data, profiles, log_matrix=None, pair_local=True):
     """
     if log_matrix is None:
         log_matrix = cross_log_density(data, profiles)
-    in_t = territory_membership(log_matrix, [p.territory for p in profiles])
+    in_t = territory_membership(log_matrix, [p.territory for p in profiles]).astype(np.int64)
     n, k = log_matrix.shape
-    members = _member_mask(profiles, n)
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            both = in_t[:, i] & in_t[:, j]
-            if pair_local:
-                union = members[:, i] | members[:, j]
-                denom = int(union.sum())
-                count = int((both & union).sum())
-            else:
-                denom = n
-                count = int(both.sum())
-            value = count / denom if denom else 0.0
-            out[i, j] = out[j, i] = value
+    if pair_local:
+        # clusters are disjoint, so the members of i or j that lie in both
+        # territories are own[i, j] + own[j, i], over |i| + |j| points
+        members = _member_mask(profiles, n)
+        own = in_t.T @ (in_t * members)
+        counts = own + own.T
+        sizes = members.sum(axis=0)
+        denom = sizes[:, None] + sizes[None, :]
+    else:
+        counts = in_t.T @ in_t
+        denom = n
+    out = counts / denom
+    np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -369,20 +369,20 @@ def similarity_v3(profiles, n_total, center="mean", metric="abs", normalize=Fals
     return math.fsum(contributions) / n_total
 
 
-# Variant name -> fn(data, profiles, log_matrix, params).  Entries call the
-# public functions through module globals, so wrapping one of them (to trace
-# it, say) also wraps its entry.
+# Variant name -> fn(data, profiles, params).  Entries call the public
+# functions through module globals, so wrapping one of them (to trace it, say)
+# also wraps its entry.
 AMBIGUOUS = {
-    "main": lambda data, prof, lm, p: ambiguous_index(data, prof, lm)[0],
-    "v1": lambda data, prof, lm, p: ambiguous_v1(data, prof, lm, p.pair_local),
-    "v2": lambda data, prof, lm, p: ambiguous_v2(data, prof, lm, p.pair_local),
-    "v3": lambda data, prof, lm, p: ambiguous_v3(data, prof, p.mc_samples, p.seed),
+    "main": lambda data, prof, p: ambiguous_index(data, prof)[0],
+    "v1": lambda data, prof, p: ambiguous_v1(data, prof, pair_local=p.pair_local),
+    "v2": lambda data, prof, p: ambiguous_v2(data, prof, pair_local=p.pair_local),
+    "v3": lambda data, prof, p: ambiguous_v3(data, prof, p.mc_samples, p.seed),
 }
 SIMILARITY = {
-    "main": lambda data, prof, lm, p: similarity_index(prof, data.n, p.min_cluster_size)[0],
-    "v1": lambda data, prof, lm, p: similarity_v1(prof, data.n, p.min_cluster_size),
-    "v2": lambda data, prof, lm, p: similarity_v2(prof, data.n, p.min_cluster_size),
-    "v3": lambda data, prof, lm, p: similarity_v3(
+    "main": lambda data, prof, p: similarity_index(prof, data.n, p.min_cluster_size)[0],
+    "v1": lambda data, prof, p: similarity_v1(prof, data.n, p.min_cluster_size),
+    "v2": lambda data, prof, p: similarity_v2(prof, data.n, p.min_cluster_size),
+    "v3": lambda data, prof, p: similarity_v3(
         prof, data.n, center=p.s_v3_center, metric=p.s_v3_metric, normalize=p.s_v3_normalize
     ),
 }
@@ -393,25 +393,18 @@ def kdi_index(data, partition, params, bw_spec=None, profiles=None, log_matrix=N
     ambiguous and similarity variants, mix with delta, and attach the boundary
     index.  Deterministic given params.seed.
 
-    profiles/log_matrix may be passed in when already computed (they must then
-    match params and the partition).
+    profiles may be passed in when already fitted (they must then match params
+    and the partition).  log_matrix is accepted for compatibility; every value
+    is read from the profiles' stored columns.
     """
     if profiles is None:
         profiles = fit_profiles(data, partition, params, bw_spec=bw_spec)
-    if log_matrix is None:
-        log_matrix = cross_log_density(data, profiles)
 
-    _, flags = ambiguous_index(data, profiles, log_matrix=log_matrix)
+    _, flags = ambiguous_index(data, profiles)
     _, s_values = similarity_index(profiles, data.n, params.min_cluster_size)
-    i_a = AMBIGUOUS[params.ambiguous_variant](data, profiles, log_matrix, params)
-    i_s = SIMILARITY[params.similarity_variant](data, profiles, log_matrix, params)
-    i_b = boundary_index(
-        data,
-        profiles,
-        params.rho,
-        log_matrix=log_matrix,
-        members_only=params.boundary_members_only,
-    )
+    i_a = AMBIGUOUS[params.ambiguous_variant](data, profiles, params)
+    i_s = SIMILARITY[params.similarity_variant](data, profiles, params)
+    i_b = boundary_index(data, profiles, params.rho, members_only=params.boundary_members_only)
     return KdiScore(
         I=params.delta * i_a + (1.0 - params.delta) * i_s,
         I_a=i_a,

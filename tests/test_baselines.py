@@ -79,8 +79,14 @@ def test_silhouette_singleton_contributes_zero():
 
 def test_silhouette_matches_direct_formula():
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        ds, labels = random_dataset(rng)
+    cases = [random_dataset(rng) for _ in range(50)]
+    # a singleton cluster; a cluster of coincident points (a = 0); two
+    # coincident clusters at the same spot (a = b = 0)
+    cases.append((Dataset([[0.0, 0.0], [0.5, 0.2], [3.0, 1.0], [3.2, 1.1], [9.0, 9.0]]),
+                  [0, 0, 1, 1, 2]))
+    cases.append((Dataset([[1.0, 1.0]] * 3 + [[4.0, 5.0], [4.5, 5.0]]), [0, 0, 0, 1, 1]))
+    cases.append((Dataset([[1.0, 1.0]] * 5 + [[4.0, 5.0], [4.5, 5.0]]), [0, 0, 0, 1, 1, 2, 2]))
+    for ds, labels in cases:
         part = canonicalize(labels)
         if part.K < 2 or part.K > ds.n - 1:
             continue

@@ -413,3 +413,32 @@ def test_cli_exit_codes(tmp_path):
     nan = tmp_path / "nan.csv"
     nan.write_text("0,0\n1,nan\n2,2\n")
     assert cli.main(["evaluate", str(nan), "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_evaluate_arff_nominal_class(tmp_path):
+    path = tmp_path / "t.arff"
+    path.write_text(
+        "@relation t\n@attribute x numeric\n@attribute y numeric\n"
+        "@attribute class {setosa,virginica}\n@data\n"
+        "0.0,0.0,setosa\n0.5,0.4,setosa\n6.0,6.0,virginica\n6.5,6.2,virginica\n"
+    )
+    out = tmp_path / "o"
+    rc = cli.main(["evaluate", str(path), "--k-min", "2", "--k-max", "2", "--seed", "1",
+                   "--out", str(out)])
+    assert rc == 0
+    manifest = (out / "candidates" / "manifest.csv").read_text().splitlines()[1:]
+    (fname,) = [row.split(",")[0] for row in manifest if "reference" in row.split(",")[1]]
+    labels = np.loadtxt(out / "candidates" / fname, dtype=np.int64)
+    np.testing.assert_array_equal(labels, [0, 0, 1, 1])
+
+
+def test_cli_rank_without_partitions_is_data_error(tmp_path):
+    data_path = tmp_path / "easy.csv"
+    save_dataset_csv(_easy_dataset(), data_path)
+    empty = tmp_path / "parts"
+    empty.mkdir()
+    args = ["rank", str(data_path), "--partitions", str(empty), "--seed", "1",
+            "--out", str(tmp_path / "o")]
+    assert cli.main(args) == 2
+    (empty / "bad.txt").write_text("0\nx\n")
+    assert cli.main(args) == 2

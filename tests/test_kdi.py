@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from kdeval import density, kdi
 from kdeval.data_io import Dataset, make_blobs
-from kdeval.density import BandwidthSearchSpec
+from kdeval.density import BandwidthSearchSpec, log_density_many
 from kdeval.kdi import (
     ClusterDensityProfile,
     KdiParams,
@@ -28,6 +29,7 @@ from kdeval.kdi import (
 )
 from kdeval.partitions import canonicalize
 
+from _fixtures import random_dataset
 from _oracles import kdi_reference
 
 SPEC = BandwidthSearchSpec(grid=(0.3, 0.6, 1.2), folds=2, seed=0)
@@ -354,7 +356,7 @@ def test_sv3_two_point_hand_value():
         likelihoods=np.exp(np.array([0.0, 2.0])),
         delta_g=1.0,
         territory=(-1.0, 3.0),
-        boundary_band=(0.0, 0.5),
+        log_column=np.array([0.0, 2.0]),
     )
     # distances to the mean (1.0) are {1, 1}; raw mean distance = 1.0
     assert similarity_v3([profile], 2, center="mean", metric="abs") == pytest.approx(
@@ -408,3 +410,66 @@ def test_territory_membership_closed_intervals():
     inside = territory_membership(log_matrix, [(-1.0, 0.0), (2.0, 5.0)])
     np.testing.assert_array_equal(inside, [[True, True], [True, True], [False, False]])
     assert territory_membership(np.empty((3, 0)), []).shape == (3, 0)
+
+
+def test_fit_profiles_makes_one_kernel_call_per_cluster(monkeypatch):
+    calls = []
+
+    def counting(model, queries):
+        calls.append(model)
+        return log_density_many(model, queries)
+
+    monkeypatch.setattr(density, "log_density_many", counting)
+    monkeypatch.setattr(kdi, "log_density_many", counting)
+    ds, labels = _one_pair_overlap()
+    one_value = BandwidthSearchSpec(grid=(0.5,), folds=2, seed=0)
+    profiles = _profiles(ds, labels, bw=one_value)
+    assert len(calls) == len(profiles) == 3
+    cross_log_density(ds, profiles)
+    assert len(calls) == 3
+
+
+def test_cross_log_density_columns_are_kernel_evaluations():
+    ds, labels = _one_pair_overlap()
+    profiles = _profiles(ds, labels)
+    matrix = cross_log_density(ds, profiles)
+    assert matrix.shape == (ds.n, len(profiles))
+    for j, p in enumerate(profiles):
+        np.testing.assert_array_equal(matrix[:, j], log_density_many(p.model, ds.points))
+        np.testing.assert_array_equal(p.g, log_density_many(p.model, ds.points[p.member_indices]))
+
+
+def _pairwise_by_definition(ds, profiles, pair_local):
+    k = len(profiles)
+    out = np.zeros((k, k))
+    for i, j in itertools.combinations(range(k), 2):
+        count = denom = 0
+        for x in range(ds.n):
+            inside = all(
+                lo <= profiles[c].log_column[x] <= hi
+                for c, (lo, hi) in ((i, profiles[i].territory), (j, profiles[j].territory))
+            )
+            if pair_local:
+                member = x in profiles[i].member_indices or x in profiles[j].member_indices
+                count += inside and member
+                denom += member
+            else:
+                count += inside
+                denom += 1
+        out[i, j] = out[j, i] = count / denom
+    return out
+
+
+def test_pairwise_ambiguous_matches_pair_loop():
+    rng = np.random.default_rng(21)
+    cases = [random_dataset(rng) for _ in range(12)]
+    far = make_blobs(3, 15, [(0, 0), (50, 0), (0, 50)], sigma=0.5, seed=22)
+    cases.append((far, far.reference_labels))
+    for ds, labels in cases:
+        params = KdiParams(alpha1=0.8, alpha2=1.7, seed=0)
+        profiles = _profiles(ds, labels, params)
+        for pair_local in (True, False):
+            got = pairwise_ambiguous(ds, profiles, pair_local=pair_local)
+            np.testing.assert_array_equal(got, _pairwise_by_definition(ds, profiles, pair_local))
+    # the far blobs' territories claim no shared point
+    assert not pairwise_ambiguous(ds, profiles, pair_local=False).any()
