@@ -2,10 +2,12 @@
 
 Commands: evaluate one dataset, bench a directory of datasets, calibrate
 hyper-parameters on a training list, and rank externally supplied partitions.
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 bad arguments or config (usage error), 2 anything
+wrong with the data (data error).
 """
 
 import argparse
+import configparser
 import os
 import sys
 
@@ -65,18 +67,22 @@ def build_parser():
 
 
 def _config_from_args(args):
+    """RunConfig from the flags and config file; any fault in them is a
+    usage error."""
     cfg_path = resolve_config_path(args.config)
-    overrides = load_config_file(cfg_path) if cfg_path else None
     indices = tuple(part.strip() for part in args.indices.split(",")) if args.indices else None
-    return build_run_config(
-        seed=args.seed,
-        file_overrides=overrides,
-        k_min=args.k_min,
-        k_max=args.k_max,
-        indices=indices,
-        emit_svg=True if args.svg else None,
-        include_variants=True if args.variants else None,
-    )
+    try:
+        return build_run_config(
+            seed=args.seed,
+            file_overrides=load_config_file(cfg_path) if cfg_path else None,
+            k_min=args.k_min,
+            k_max=args.k_max,
+            indices=indices,
+            emit_svg=True if args.svg else None,
+            include_variants=True if args.variants else None,
+        )
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _guess_format(path, explicit):
@@ -161,10 +167,7 @@ def _cmd_calibrate(args):
 def _cmd_rank(args):
     config = _config_from_args(args)
     dataset = _load(args.dataset, args)
-    try:
-        candidates = load_partitions(args.partitions)
-    except ValueError as exc:  # no partitions, or an unreadable label file
-        raise DataError(str(exc)) from exc
+    candidates = load_partitions(args.partitions)
     for part in candidates:
         if part.n != dataset.n:
             raise DataError(
@@ -192,13 +195,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError, ValueError) as exc:  # config faults were UsageErrors already
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

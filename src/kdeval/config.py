@@ -153,18 +153,13 @@ def save_params_config(path, params, seed=None):
 def config_snapshot(config):
     """Ordered (key, value) pairs describing the full configuration, used in
     report headers so runs are reproducible from their outputs."""
-    items = [
-        ("seed", config.seed),
-        ("k_min", config.k_min),
-        ("k_max", config.k_max),
-        ("indices", ",".join(config.indices)),
-        ("generators", ",".join(config.generators)),
-        ("emit_svg", config.emit_svg),
-        ("include_variants", config.include_variants),
-        ("boundary_mix_weight", config.boundary_mix_weight),
-        ("bandwidth_grid", ",".join(repr(h) for h in config.bandwidth_grid) or "auto"),
-        ("folds", config.folds),
-    ]
+    items = []
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(config, f.name)
+        if f.type is tuple:
+            value = ",".join(map(str, value)) or ("auto" if f.name == "bandwidth_grid" else "")
+        if f.name != "kdi_params":
+            items.append((f.name, value))
     for f in dataclasses.fields(KdiParams):
         items.append((f"kdi.{f.name}", getattr(config.kdi_params, f.name)))
     return items

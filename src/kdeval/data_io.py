@@ -84,34 +84,37 @@ def _split_line(line, fmt):
     return [field.strip() for field in line.split(",")]
 
 
-def _parse_delimited(lines, fmt, label_column, dataset_id):
+def _parse_delimited(lines, fmt, label_column, dataset_id, width=None):
+    """Rows of `width` fields (the first row's count when None).  The one row
+    reader for every format: the label column, ragged rows, '?' and
+    non-finite values are each checked here."""
+    first_lineno = lines[0][0]
+    width = width or len(_split_line(lines[0][1], fmt))
+    col = label_column
+    if col is not None:
+        col = col if col >= 0 else width + col
+        if not 0 <= col < width:
+            raise ParseError(
+                f"line {first_lineno}: label column {label_column} out of range for {width} columns"
+            )
     rows = []
     raw_labels = []
-    width = None
     for lineno, text in lines:
         fields = _split_line(text, fmt)
-        if width is None:
-            width = len(fields)
-            if label_column is not None:
-                col = label_column if label_column >= 0 else width + label_column
-                if not 0 <= col < width:
-                    raise ParseError(
-                        f"line {lineno}: label column {label_column} out of range for {width} columns"
-                    )
-            else:
-                col = None
-        elif len(fields) != width:
+        if len(fields) != width:
             raise ParseError(
                 f"line {lineno}: expected {width} columns, found {len(fields)} (ragged row)"
             )
         coords = []
         for j, field in enumerate(fields):
-            if col is not None and j == col:
+            if field == "?":
+                raise ParseError(f"line {lineno}: missing value '?' is not supported")
+            if j == col:
                 raw_labels.append(field)
-                continue
-            coords.append(_feature(field, lineno))
+            else:
+                coords.append(_feature(field, lineno))
         rows.append(coords)
-    labels = raw_labels if label_column is not None else None
+    labels = raw_labels if col is not None else None
     return Dataset(np.array(rows), reference_labels=labels, id=dataset_id)
 
 
@@ -119,69 +122,40 @@ _ARFF_ATTR = re.compile(r"@attribute\s+(\S+)\s+(.+)$", re.IGNORECASE)
 
 
 def _parse_arff(lines, label_column, dataset_id):
-    attrs = []  # (name, is_nominal)
+    """Read the header (attribute count, nominal class index), then hand the
+    data rows to the common row reader."""
+    n_attrs = 0
     nominal_index = None
-    data_rows = []
-    in_data = False
-    for lineno, text in lines:
+    for pos, (lineno, text) in enumerate(lines):
         lowered = text.lower()
-        if not in_data:
-            if lowered.startswith("@relation"):
-                continue
-            if lowered.startswith("@attribute"):
-                m = _ARFF_ATTR.match(text)
-                if m is None:
-                    raise ParseError(f"line {lineno}: malformed @attribute declaration")
-                kind = m.group(2).strip()
-                if kind.startswith("{"):
-                    if nominal_index is not None:
-                        raise ParseError(
-                            f"line {lineno}: more than one nominal attribute; only a single class attribute is supported"
-                        )
-                    nominal_index = len(attrs)
-                    attrs.append((m.group(1), True))
-                elif kind.lower() in ("numeric", "real", "integer"):
-                    attrs.append((m.group(1), False))
-                else:
-                    raise ParseError(f"line {lineno}: unsupported attribute type {kind!r}")
-                continue
-            if lowered.startswith("@data"):
-                if not attrs:
-                    raise ParseError(f"line {lineno}: @data before any @attribute")
-                in_data = True
-                continue
-            raise ParseError(f"line {lineno}: unexpected content in ARFF header: {text!r}")
-        data_rows.append((lineno, text))
-    if not in_data:
-        raise ParseError("missing @data section")
-    if not data_rows:
-        raise EmptyDataError("ARFF file has no data rows")
-
-    label_idx = nominal_index if label_column is None else (
-        label_column if label_column >= 0 else len(attrs) + label_column
-    )
-    if label_idx is not None and not 0 <= label_idx < len(attrs):
-        raise ParseError(f"label column {label_column} out of range for {len(attrs)} attributes")
-
-    rows = []
-    raw_labels = []
-    for lineno, text in data_rows:
-        fields = [f.strip() for f in text.split(",")]
-        if len(fields) != len(attrs):
-            raise ParseError(
-                f"line {lineno}: expected {len(attrs)} values, found {len(fields)} (ragged row)"
-            )
-        coords = []
-        for j, field in enumerate(fields):
-            if field == "?":
-                raise ParseError(f"line {lineno}: missing value '?' is not supported")
-            if label_idx is not None and j == label_idx:
-                raw_labels.append(field)
-                continue
-            coords.append(_feature(field, lineno))
-        rows.append(coords)
-    labels = raw_labels if label_idx is not None else None
-    return Dataset(np.array(rows), reference_labels=labels, id=dataset_id)
+        if lowered.startswith("@relation"):
+            continue
+        if lowered.startswith("@attribute"):
+            m = _ARFF_ATTR.match(text)
+            if m is None:
+                raise ParseError(f"line {lineno}: malformed @attribute declaration")
+            kind = m.group(2).strip()
+            if kind.startswith("{"):
+                if nominal_index is not None:
+                    raise ParseError(
+                        f"line {lineno}: more than one nominal attribute; only a single class attribute is supported"
+                    )
+                nominal_index = n_attrs
+            elif kind.lower() not in ("numeric", "real", "integer"):
+                raise ParseError(f"line {lineno}: unsupported attribute type {kind!r}")
+            n_attrs += 1
+            continue
+        if lowered.startswith("@data"):
+            if not n_attrs:
+                raise ParseError(f"line {lineno}: @data before any @attribute")
+            data_rows = lines[pos + 1:]
+            if not data_rows:
+                raise EmptyDataError("ARFF file has no data rows")
+            if label_column is None:
+                label_column = nominal_index
+            return _parse_delimited(data_rows, "arff", label_column, dataset_id, width=n_attrs)
+        raise ParseError(f"line {lineno}: unexpected content in ARFF header: {text!r}")
+    raise ParseError("missing @data section")
 
 
 def load_dataset(path, format="csv", label_column=None, id=None):

@@ -14,7 +14,7 @@ from scipy.special import logsumexp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Default search-space knobs (see BandwidthSearchSpec.auto).
+# Default search-space knobs (see auto_search_spec).
 GRID_SIZE = 20
 GRID_SPAN = (0.01, 10.0)
 DEFAULT_FOLDS = 5

@@ -27,12 +27,11 @@ from .config import config_snapshot, save_params_config
 from .kdi import (
     AMBIGUOUS,
     SIMILARITY,
-    cross_log_density,
+    ambiguous_index,
     fit_profiles,
     kdi_index,
+    retarget,
     similarity_index,
-    territory_interval,
-    territory_membership,
 )
 from .partitions import build_candidates, canonicalize, save_partitions
 from .svgplot import emit_svg
@@ -92,6 +91,13 @@ def rank_candidates(entries, direction):
             keyed.append((1, 0.0, int(k), str(source), pos))
     keyed.sort(key=lambda t: t[:4])
     return [t[4] for t in keyed]
+
+
+def _candidates(config, dataset):
+    """Every configured generator for every k in the config range, clamped
+    to n (see build_candidates)."""
+    k_hi = min(config.k_max, dataset.n)
+    return build_candidates(dataset, range(config.k_min, k_hi + 1), config.seed, config.generators)
 
 
 def _fit_profiles(data, part, config):
@@ -155,10 +161,7 @@ def evaluate_dataset(config, dataset, candidates=None):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if candidates is None:
-            k_hi = min(config.k_max, dataset.n)
-            candidates = build_candidates(
-                dataset, range(config.k_min, k_hi + 1), config.seed, config.generators
-            )
+            candidates = _candidates(config, dataset)
     captured.extend(str(w.message) for w in caught)
     t_generate = time.monotonic() - t0
 
@@ -366,41 +369,21 @@ def calibrate(config, training_datasets, out_path=None):
     base = config.kdi_params
     successes = {(d, a): 0 for d in CALIBRATION_DELTAS for a in CALIBRATION_ALPHAS}
     for ds in training_datasets:
-        k_hi = min(config.k_max, ds.n)
-        candidates = build_candidates(ds, range(config.k_min, k_hi + 1), config.seed, config.generators)
+        candidates = _candidates(config, ds)
         reference = canonicalize(ds.reference_labels, source="reference")
-        info = []
-        for part in candidates:
-            profiles = _fit_profiles(ds, part, config)
-            matrix = cross_log_density(ds, profiles)
-            i_s, _ = similarity_index(profiles, ds.n, base.min_cluster_size)
-            stats = [(float(p.g.min()), float(p.g.max()), p.delta_g) for p in profiles]
-            info.append(
-                {
-                    "K": part.K,
-                    "source": part.source,
-                    "matrix": matrix,
-                    "stats": stats,
-                    "i_s": i_s,
-                    "ari": adjusted_rand_index(part, reference),
-                }
-            )
+        profiles = [_fit_profiles(ds, part, config) for part in candidates]
+        i_s = [similarity_index(prof, ds.n, base.min_cluster_size)[0] for prof in profiles]
+        aris = [adjusted_rand_index(part, reference) for part in candidates]
         for alpha in CALIBRATION_ALPHAS:
-            ia_values = []
-            for cand in info:
-                intervals = [
-                    territory_interval(g_min, g_max, dg, alpha, alpha, base.beta1, base.beta2)
-                    for (g_min, g_max, dg) in cand["stats"]
-                ]
-                flags = territory_membership(cand["matrix"], intervals).sum(axis=1) >= 2
-                ia_values.append(int(flags.sum()) / flags.shape[0])
+            swept = dataclasses.replace(base, alpha1=alpha, alpha2=alpha)
+            i_a = [ambiguous_index(ds, retarget(prof, swept))[0] for prof in profiles]
             for delta in CALIBRATION_DELTAS:
                 entries = [
-                    (delta * ia + (1.0 - delta) * cand["i_s"], cand["K"], cand["source"])
-                    for ia, cand in zip(ia_values, info)
+                    (delta * ia + (1.0 - delta) * is_, part.K, part.source)
+                    for ia, is_, part in zip(i_a, i_s, candidates)
                 ]
                 order = rank_candidates(entries, SMALLER_BETTER)
-                if info[order[0]]["ari"] > SUCCESS_THRESHOLD:
+                if aris[order[0]] > SUCCESS_THRESHOLD:
                     successes[(delta, alpha)] += 1
     cells = sorted(
         successes.items(), key=lambda item: (-item[1], abs(item[0][0] - 0.5), item[0][1])

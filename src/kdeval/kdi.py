@@ -12,7 +12,7 @@ relabeling of the clusters.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,6 +114,12 @@ def territory_interval(g_min, g_max, delta_g, alpha1, alpha2, beta1, beta2):
     return (g_min - alpha1 * delta_g, g_max + alpha2 * delta_g)
 
 
+def _territory(g, spread, p):
+    """Territory of the member log-likelihoods g under p's alpha/beta."""
+    lo, hi = float(g.min()), float(g.max())
+    return territory_interval(lo, hi, spread, p.alpha1, p.alpha2, p.beta1, p.beta2)
+
+
 def fit_profiles(data, partition, params, bw_spec=None, folds=DEFAULT_FOLDS):
     """Fit one density profile per cluster.
 
@@ -138,10 +144,6 @@ def fit_profiles(data, partition, params, bw_spec=None, folds=DEFAULT_FOLDS):
         g = column[idx]
         like = np.maximum(np.exp(g), LIKELIHOOD_FLOOR)
         spread = float(np.std(g))
-        territory = territory_interval(
-            float(g.min()), float(g.max()), spread,
-            params.alpha1, params.alpha2, params.beta1, params.beta2,
-        )
         profiles.append(
             ClusterDensityProfile(
                 label=q,
@@ -150,11 +152,17 @@ def fit_profiles(data, partition, params, bw_spec=None, folds=DEFAULT_FOLDS):
                 g=g,
                 likelihoods=like,
                 delta_g=spread,
-                territory=territory,
+                territory=_territory(g, spread, params),
                 log_column=column,
             )
         )
     return profiles
+
+
+def retarget(profiles, params):
+    """The profiles with territories rebuilt from params' alpha/beta; the
+    fitted densities and log-likelihoods are reused as they are."""
+    return [replace(p, territory=_territory(p.g, p.delta_g, params)) for p in profiles]
 
 
 def territory_contains(profile, y):
@@ -198,22 +206,21 @@ def ambiguous_index(data, profiles, log_matrix=None):
     return int(flags.sum()) / flags.shape[0], flags
 
 
+def _similarity(profiles, n_total, min_cluster_size, s_of):
+    """(1 - sum_q S_q / n, S) with S_q = s_of(profile); clusters with fewer
+    than min_cluster_size members contribute 0.  Likelihoods are floored at
+    LIKELIHOOD_FLOOR, so every maximum s_of divides by is positive."""
+    s_values = [float(s_of(p)) if p.n_members >= min_cluster_size else 0.0 for p in profiles]
+    return 1.0 - math.fsum(s_values) / n_total, np.array(s_values)
+
+
 def similarity_index(profiles, n_total, min_cluster_size=3):
     """Main similarity index: I_s = 1 - sum_q S_q / n, where S_q is the sum of
     a cluster's member likelihoods normalized by the cluster maximum, and
     clusters with fewer than min_cluster_size members contribute 0."""
-    s_values = []
-    for profile in profiles:
-        if profile.n_members < min_cluster_size:
-            s_values.append(0.0)
-            continue
-        peak = float(profile.likelihoods.max())
-        if peak <= 0.0:  # unreachable with the likelihood floor, kept as a guard
-            s_values.append(0.0)
-            continue
-        s_values.append(float(profile.likelihoods.sum() / peak))
-    s_omega = math.fsum(s_values)
-    return 1.0 - s_omega / n_total, np.array(s_values)
+    return _similarity(
+        profiles, n_total, min_cluster_size, lambda p: p.likelihoods.sum() / p.likelihoods.max()
+    )
 
 
 def boundary_index(data, profiles, rho, log_matrix=None, members_only=False):
@@ -316,32 +323,25 @@ def similarity_v1(profiles, n_total, min_cluster_size=3):
     """Min-max variant: member likelihoods are min-max scaled per cluster
     before summing.  A cluster with all-equal likelihoods scores 1 per member
     (maximally self-similar); small clusters contribute 0."""
-    s_values = []
-    for profile in profiles:
-        if profile.n_members < min_cluster_size:
-            s_values.append(0.0)
-            continue
+
+    def minmax_sum(profile):
         like = profile.likelihoods
         lo = float(like.min())
         hi = float(like.max())
         if hi == lo:
-            s_values.append(float(profile.n_members))
-        else:
-            s_values.append(float(((like - lo) / (hi - lo)).sum()))
-    return 1.0 - math.fsum(s_values) / n_total
+            return profile.n_members
+        return ((like - lo) / (hi - lo)).sum()
+
+    return _similarity(profiles, n_total, min_cluster_size, minmax_sum)[0]
 
 
 def similarity_v2(profiles, n_total, min_cluster_size=3):
     """Global-max variant: likelihood sums are normalized by the maximum
     likelihood over all clusters instead of the per-cluster maximum."""
     global_max = max(float(p.likelihoods.max()) for p in profiles)
-    s_values = []
-    for profile in profiles:
-        if profile.n_members < min_cluster_size or global_max <= 0.0:
-            s_values.append(0.0)
-        else:
-            s_values.append(float(profile.likelihoods.sum() / global_max))
-    return 1.0 - math.fsum(s_values) / n_total
+    return _similarity(
+        profiles, n_total, min_cluster_size, lambda p: p.likelihoods.sum() / global_max
+    )[0]
 
 
 def similarity_v3(profiles, n_total, center="mean", metric="abs", normalize=False):

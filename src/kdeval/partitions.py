@@ -278,6 +278,15 @@ def build_candidates(data, k_range, seed, generators=GENERATORS):
             warnings.warn(f"linkage {method} failed: {exc}")
     seen = {}
     ordered = []
+
+    def add(part):
+        pos = seen.setdefault(part.key(), len(ordered))
+        if pos == len(ordered):
+            ordered.append(part)
+        else:
+            kept = ordered[pos]
+            ordered[pos] = Partition(kept.labels, kept.K, kept.source + "+" + part.source)
+
     for k in ks:
         for gi, gen in enumerate(GENERATORS):
             if gen not in generators:
@@ -296,23 +305,9 @@ def build_candidates(data, k_range, seed, generators=GENERATORS):
             except Exception as exc:
                 warnings.warn(f"generator {gen} failed for k={k}: {exc}")
                 continue
-            key = part.key()
-            if key in seen:
-                pos = seen[key]
-                kept = ordered[pos]
-                ordered[pos] = Partition(kept.labels, kept.K, kept.source + "+" + part.source)
-            else:
-                seen[key] = len(ordered)
-                ordered.append(part)
+            add(part)
     if data.reference_labels is not None:
-        ref = canonicalize(data.reference_labels, source="reference")
-        key = ref.key()
-        if key in seen:
-            pos = seen[key]
-            kept = ordered[pos]
-            ordered[pos] = Partition(kept.labels, kept.K, kept.source + "+reference")
-        else:
-            ordered.append(ref)
+        add(canonicalize(data.reference_labels, source="reference"))
     return ordered
 
 

@@ -152,3 +152,39 @@ def test_dataset_validation():
         Dataset([[np.inf, 0.0]])
     with pytest.raises(ValueError):
         Dataset([[0.0, 0.0]], reference_labels=[0, 1])
+
+
+def test_csv_and_arff_give_the_same_dataset(tmp_path):
+    rows = ["0.5,-1.25,setosa", "1e-3,7,virginica", "2.0,2.5,setosa", "-3,0.125,versicolor"]
+    csv = tmp_path / "same.csv"
+    csv.write_text("\n".join(rows) + "\n")
+    arff = tmp_path / "same.arff"
+    arff.write_text(
+        "@relation same\n@attribute x numeric\n@attribute y real\n"
+        "@attribute class {setosa,virginica,versicolor}\n@data\n" + "\n".join(rows) + "\n"
+    )
+    a = load_dataset(csv, "csv", label_column=-1)
+    b = load_dataset(arff, "arff")
+    assert np.array_equal(a.points, b.points)
+    np.testing.assert_array_equal(a.reference_labels, [0, 1, 0, 2])
+    np.testing.assert_array_equal(a.reference_labels, b.reference_labels)
+
+
+def test_missing_label_is_parse_error(tmp_path):
+    csv = tmp_path / "q.csv"
+    csv.write_text("0,0,a\n1,1,?\n")
+    with pytest.raises(ParseError, match="line 2: missing value"):
+        load_dataset(csv, "csv", label_column=2)
+    arff = tmp_path / "q.arff"
+    arff.write_text("@relation r\n@attribute x numeric\n@attribute c {a,b}\n@data\n0,a\n1,?\n")
+    with pytest.raises(ParseError, match="line 6: missing value"):
+        load_dataset(arff, "arff")
+
+
+def test_arff_errors_name_their_line(tmp_path):
+    arff = tmp_path / "r.arff"
+    arff.write_text("@relation r\n@attribute x numeric\n@attribute c {a,b}\n@data\n0,a\n1\n")
+    with pytest.raises(ParseError, match="line 6: expected 2 columns, found 1"):
+        load_dataset(arff, "arff")
+    with pytest.raises(ParseError, match="line 5: label column 4 out of range for 2 columns"):
+        load_dataset(arff, "arff", label_column=4)

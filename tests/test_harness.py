@@ -442,3 +442,31 @@ def test_cli_rank_without_partitions_is_data_error(tmp_path):
     assert cli.main(args) == 2
     (empty / "bad.txt").write_text("0\nx\n")
     assert cli.main(args) == 2
+
+
+def test_cli_error_taxonomy(tmp_path, capsys):
+    unlabeled = tmp_path / "u.csv"
+    unlabeled.write_text("0,0\n1,1\n2,2\n5,5\n6,6\n7,7\n")
+    train = tmp_path / "train.txt"
+    train.write_text("u.csv\n")
+    out = str(tmp_path / "o")
+    # an unlabeled training file is a fault in the data
+    assert cli.main(["calibrate", str(tmp_path), "--train-list", str(train), "--seed", "1",
+                     "--k-min", "2", "--k-max", "2", "--out", out]) == 2
+    # so is a k range that the dataset cannot supply
+    assert cli.main(["evaluate", str(unlabeled), "--seed", "1", "--k-min", "9", "--k-max", "9",
+                     "--indices", "ch", "--out", out]) == 2
+    # faults in the config file are usage errors
+    nosection = tmp_path / "nosection.ini"
+    nosection.write_text("seed = 1\n")
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(unlabeled), "--config", str(nosection), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    bad_delta = tmp_path / "delta.ini"
+    bad_delta.write_text("[kdi]\ndelta = 7\n")
+    assert cli.main(["evaluate", str(unlabeled), "--seed", "1", "--config", str(bad_delta),
+                     "--out", out]) == 1
+    assert "usage error: delta must be in [0, 1]" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.ini")
+    assert cli.main(["evaluate", str(unlabeled), "--seed", "1", "--config", missing,
+                     "--out", out]) == 1

@@ -473,3 +473,50 @@ def test_pairwise_ambiguous_matches_pair_loop():
             np.testing.assert_array_equal(got, _pairwise_by_definition(ds, profiles, pair_local))
     # the far blobs' territories claim no shared point
     assert not pairwise_ambiguous(ds, profiles, pair_local=False).any()
+
+
+def test_retarget_matches_fit_profiles_bit_for_bit():
+    from kdeval.harness import CALIBRATION_ALPHAS
+
+    ds = make_blobs(3, 12, [(0, 0), (3, 0), (0, 3)], sigma=0.8, seed=2)
+    part = canonicalize(ds.reference_labels)
+    base = KdiParams(beta1=0.7, beta2=1.3, seed=0)
+    profiles = fit_profiles(ds, part, base, bw_spec=SPEC)
+    for alpha in CALIBRATION_ALPHAS:
+        swept = dataclasses.replace(base, alpha1=alpha, alpha2=alpha)
+        direct = fit_profiles(ds, part, swept, bw_spec=SPEC)
+        moved = kdi.retarget(profiles, swept)
+        assert [p.territory for p in moved] == [p.territory for p in direct]
+        assert ambiguous_index(ds, moved)[0] == ambiguous_index(ds, direct)[0]
+        for a, b in zip(moved, profiles):
+            assert a.g is b.g and a.log_column is b.log_column
+
+
+def test_similarity_family_matches_definition():
+    # cluster 0 is below min_cluster_size; cluster 1 is coincident, so its
+    # likelihoods are all equal (v1's hi == lo branch)
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([[[9.0, 9.0], [9.5, 9.0]], np.full((4, 2), -5.0), rng.normal(0, 1, (15, 2))])
+    ds = Dataset(pts, id="mixed")
+    profiles = _profiles(ds, [0] * 2 + [1] * 4 + [2] * 15)
+    assert len(set(profiles[1].likelihoods.tolist())) == 1
+    n, m = ds.n, 3
+    global_max = max(float(max(p.likelihoods)) for p in profiles)
+    main, v1, v2 = [], [], []
+    for p in profiles:
+        like = [float(v) for v in p.likelihoods]
+        if len(like) < m:
+            main.append(0.0)
+            v1.append(0.0)
+            v2.append(0.0)
+            continue
+        lo, hi = min(like), max(like)
+        main.append(sum(like) / hi)
+        v1.append(len(like) if hi == lo else sum((v - lo) / (hi - lo) for v in like))
+        v2.append(sum(like) / global_max)
+    i_s, s_values = similarity_index(profiles, n, m)
+    assert s_values[0] == 0.0 and s_values[1] == 4.0
+    np.testing.assert_allclose(s_values, main, rtol=1e-12)
+    assert i_s == pytest.approx(1.0 - sum(main) / n, abs=1e-12)
+    assert similarity_v1(profiles, n, m) == pytest.approx(1.0 - sum(v1) / n, abs=1e-12)
+    assert similarity_v2(profiles, n, m) == pytest.approx(1.0 - sum(v2) / n, abs=1e-12)
