@@ -45,17 +45,13 @@ class RunConfig:
             raise ValueError(f"unknown generators: {sorted(unknown)}")
         if not 0.0 <= self.boundary_mix_weight <= 1.0:
             raise ValueError("boundary_mix_weight must be in [0, 1]")
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
         if self.kdi_params is None:
             object.__setattr__(self, "kdi_params", KdiParams(seed=self.seed))
+        self.bw_spec()  # rejects a bad grid or fold count when the config is built
 
     def bw_spec(self):
-        """Explicit BandwidthSearchSpec, or None for the per-cluster auto grid
-        (which still uses `folds`)."""
-        if not self.bandwidth_grid:
-            return None
-        return BandwidthSearchSpec(grid=self.bandwidth_grid, folds=self.folds, seed=self.seed)
+        """The run's one bandwidth search: grid (None: auto grid), folds, KDI seed."""
+        return BandwidthSearchSpec(self.bandwidth_grid or None, self.folds, self.kdi_params.seed)
 
 
 def _parse_bool(text):
@@ -76,7 +72,7 @@ _PARSERS = {bool: _parse_bool, int: int, float: float, str: str.strip, tuple: _p
 _RUN_FIELDS = {
     f.name: f.type
     for f in dataclasses.fields(RunConfig)
-    if f.name not in ("seed", "kdi_params", "bandwidth_grid")
+    if f.name not in ("seed", "kdi_params", "bandwidth_grid", "folds")
 }
 _KDI_FIELDS = {f.name: f.type for f in dataclasses.fields(KdiParams)}
 

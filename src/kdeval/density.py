@@ -20,6 +20,10 @@ GRID_SPAN = (0.01, 10.0)
 DEFAULT_FOLDS = 5
 MEDIAN_SUBSAMPLE = 500
 
+# Query rows per kernel block: bounds the (rows, m) temporaries.  Each row's
+# value depends on that row alone, so blocking is bit-exact.
+QUERY_BLOCK = 2048
+
 # Guard for held-out points whose log-density is non-finite; cannot trigger
 # with log-sum-exp on finite inputs but bounds the CV objective regardless.
 UNDERFLOW_PENALTY = -1e10
@@ -43,13 +47,18 @@ class DensityModel:
 
 @dataclass(frozen=True)
 class BandwidthSearchSpec:
-    """Grid of candidate bandwidths plus the CV fold count and shuffle seed."""
+    """Candidate bandwidths (None: each cluster's auto_search_spec grid), CV
+    fold count and fold-shuffle seed."""
 
-    grid: tuple
+    grid: tuple = None
     folds: int = DEFAULT_FOLDS
     seed: int = 0
 
     def __post_init__(self):
+        if self.folds < 2:
+            raise ValueError("folds must be >= 2")
+        if self.grid is None:
+            return
         grid = tuple(float(h) for h in self.grid)
         if not grid:
             raise ValueError("bandwidth grid must be non-empty")
@@ -57,8 +66,6 @@ class BandwidthSearchSpec:
             raise ValueError("bandwidth candidates must be positive")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("bandwidth grid must be strictly increasing")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
         object.__setattr__(self, "grid", grid)
 
 
@@ -90,22 +97,23 @@ def log_density_many(model, queries):
     if q.shape[1] != model.d:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
     h = model.bandwidth
-    sq = cdist(q, model.training_points, "sqeuclidean")
-    exponents = -sq / (2.0 * h * h)
     norm = np.log(model.m) + model.d * np.log(h) + 0.5 * model.d * LOG_2PI
-    return logsumexp(exponents, axis=1) - norm
+    out = np.empty(q.shape[0])
+    for start in range(0, q.shape[0], QUERY_BLOCK):
+        rows = slice(start, start + QUERY_BLOCK)
+        sq = cdist(q[rows], model.training_points, "sqeuclidean")
+        out[rows] = logsumexp(-sq / (2.0 * h * h), axis=1) - norm
+    return out
 
 
 def log_density(model, x):
     """Log KDE density at a single query point."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != model.d:
-        raise ValueError(f"query dimension {x.shape[0]} != model dimension {model.d}")
     return float(log_density_many(model, x.reshape(1, -1))[0])
 
 
 def select_bandwidth(points, spec):
-    """Pick the grid bandwidth maximizing mean held-out total log-likelihood.
+    """Pick the bandwidth in spec.grid (not None) maximizing held-out log-likelihood.
 
     Folds are a seeded shuffle of the points; the score of a candidate h is
     the mean over folds of the summed held-out log-densities.  Ties (and
@@ -170,13 +178,10 @@ def auto_search_spec(points, folds=DEFAULT_FOLDS, seed=0):
     """Default scale-relative search spec: GRID_SIZE log-spaced candidates
     spanning GRID_SPAN times the cluster's median pairwise distance.
 
-    Returns None when the scale is degenerate (all points coincident) or the
-    cluster is smaller than the fold count; callers then use
-    fallback_bandwidth.
+    Returns None when the scale is degenerate (all points coincident);
+    choose_bandwidth then uses fallback_bandwidth.
     """
     pts = _as_points(points)
-    if pts.shape[0] < folds:
-        return None
     s = cluster_scale(pts, seed=seed)
     if s <= 0.0:
         return None
@@ -184,12 +189,14 @@ def auto_search_spec(points, folds=DEFAULT_FOLDS, seed=0):
     return BandwidthSearchSpec(grid=tuple(grid), folds=folds, seed=seed)
 
 
-def choose_bandwidth(points, spec=None, folds=DEFAULT_FOLDS, seed=0):
+def choose_bandwidth(points, spec=None):
     """Bandwidth for one cluster: CV grid search when feasible, otherwise the
-    fallback rule.  With spec=None a scale-relative grid is built first."""
+    fallback rule.  A spec without a grid (None: the default spec) searches
+    the cluster's scale-relative grid.  The one place that picks the route."""
     pts = _as_points(points)
-    if spec is None:
-        spec = auto_search_spec(pts, folds=folds, seed=seed)
+    spec = BandwidthSearchSpec() if spec is None else spec
+    if spec.grid is None:
+        spec = auto_search_spec(pts, folds=spec.folds, seed=spec.seed)
     if spec is None or pts.shape[0] < spec.folds:
         return fallback_bandwidth(pts)
     return select_bandwidth(pts, spec)

@@ -100,11 +100,6 @@ def _candidates(config, dataset):
     return build_candidates(dataset, range(config.k_min, k_hi + 1), config.seed, config.generators)
 
 
-def _fit_profiles(data, part, config):
-    """Cluster profiles under the run's KDI parameters and bandwidth settings."""
-    return fit_profiles(data, part, config.kdi_params, bw_spec=config.bw_spec(), folds=config.folds)
-
-
 def _score_candidate(data, part, config, record):
     """Fill one CandidateResult's score columns, recording failures."""
     scores = {}
@@ -119,7 +114,7 @@ def _score_candidate(data, part, config, record):
             record(f"{name} undefined for {part.source}: {exc}")
     if "new" in config.indices:
         params = config.kdi_params
-        profiles = _fit_profiles(data, part, config)
+        profiles = fit_profiles(data, part, params, config.bw_spec())
         score = kdi_index(data, part, params, profiles=profiles)
         scores["new"] = score.I
         scores["new_ia"] = score.I_a
@@ -371,7 +366,7 @@ def calibrate(config, training_datasets, out_path=None):
     for ds in training_datasets:
         candidates = _candidates(config, ds)
         reference = canonicalize(ds.reference_labels, source="reference")
-        profiles = [_fit_profiles(ds, part, config) for part in candidates]
+        profiles = [fit_profiles(ds, part, base, config.bw_spec()) for part in candidates]
         i_s = [similarity_index(prof, ds.n, base.min_cluster_size)[0] for prof in profiles]
         aris = [adjusted_rand_index(part, reference) for part in candidates]
         for alpha in CALIBRATION_ALPHAS:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .density import (
-    DEFAULT_FOLDS,
+    BandwidthSearchSpec,
     choose_bandwidth,
     fit_kde,
     log_density,
@@ -93,52 +93,43 @@ class ClusterDensityProfile:
 
 @dataclass(frozen=True)
 class KdiScore:
-    """Scores for one partition.  I_a and I_s are the selected variants; the
-    per_cluster_S / S_omega / ambiguous_count fields always report the main
-    definitions regardless of variant."""
+    """Scores for one partition; I_a and I_s are the selected variants.  Main
+    per-point flags and S_q: ambiguous_index(...)[1], similarity_index(...)[1]."""
 
     I: float
     I_a: float
     I_s: float
     I_b: float
-    ambiguous_count: int
-    per_cluster_S: np.ndarray
-    S_omega: float
-
-
-def territory_interval(g_min, g_max, delta_g, alpha1, alpha2, beta1, beta2):
-    """Closed territory interval; beta constants replace alpha*spread when the
-    member log-likelihoods have zero spread."""
-    if delta_g == 0.0:
-        return (g_min - beta1, g_max + beta2)
-    return (g_min - alpha1 * delta_g, g_max + alpha2 * delta_g)
 
 
 def _territory(g, spread, p):
-    """Territory of the member log-likelihoods g under p's alpha/beta."""
+    """Closed territory interval of the member log-likelihoods g under p's
+    alpha/beta; the beta constants replace alpha*spread when the spread is 0."""
     lo, hi = float(g.min()), float(g.max())
-    return territory_interval(lo, hi, spread, p.alpha1, p.alpha2, p.beta1, p.beta2)
+    if spread == 0.0:
+        return (lo - p.beta1, hi + p.beta2)
+    return (lo - p.alpha1 * spread, hi + p.alpha2 * spread)
 
 
-def fit_profiles(data, partition, params, bw_spec=None, folds=DEFAULT_FOLDS):
+def fit_profiles(data, partition, params, bw_spec=None):
     """Fit one density profile per cluster.
 
-    Bandwidths come from cross-validated grid search (per-cluster
-    scale-relative grid with `folds` folds when bw_spec is None), falling back
-    to the Scott-style rule for clusters smaller than the fold count.
-    Deterministic given params.seed, and independent of cluster numbering:
-    every cluster uses the same seed on its own member set.  Each cluster's
-    KDE is evaluated once, over the whole dataset.
+    Bandwidths come from choose_bandwidth under bw_spec (None: the auto grid
+    with the default folds and params.seed).  Deterministic given the spec's
+    seed, and independent of cluster numbering: every cluster uses the same
+    seed on its own member set.  Each cluster's KDE is evaluated once, over
+    the whole dataset.
     """
     X = data.points
     labels = partition.labels
     if labels.shape[0] != X.shape[0]:
         raise ValueError("partition length does not match dataset size")
+    spec = BandwidthSearchSpec(seed=params.seed) if bw_spec is None else bw_spec
     profiles = []
     for q in range(partition.K):
         idx = np.flatnonzero(labels == q)
         pts = X[idx]
-        h = choose_bandwidth(pts, spec=bw_spec, folds=folds, seed=params.seed)
+        h = choose_bandwidth(pts, spec)
         model = fit_kde(pts, h)
         column = log_density_many(model, X)
         g = column[idx]
@@ -391,7 +382,7 @@ SIMILARITY = {
 def kdi_index(data, partition, params, bw_spec=None, profiles=None, log_matrix=None):
     """Full index for one partition: fit profiles, evaluate the selected
     ambiguous and similarity variants, mix with delta, and attach the boundary
-    index.  Deterministic given params.seed.
+    index.  Deterministic given params.seed and bw_spec (see fit_profiles).
 
     profiles may be passed in when already fitted (they must then match params
     and the partition).  log_matrix is accepted for compatibility; every value
@@ -400,8 +391,6 @@ def kdi_index(data, partition, params, bw_spec=None, profiles=None, log_matrix=N
     if profiles is None:
         profiles = fit_profiles(data, partition, params, bw_spec=bw_spec)
 
-    _, flags = ambiguous_index(data, profiles)
-    _, s_values = similarity_index(profiles, data.n, params.min_cluster_size)
     i_a = AMBIGUOUS[params.ambiguous_variant](data, profiles, params)
     i_s = SIMILARITY[params.similarity_variant](data, profiles, params)
     i_b = boundary_index(data, profiles, params.rho, members_only=params.boundary_members_only)
@@ -410,7 +399,4 @@ def kdi_index(data, partition, params, bw_spec=None, profiles=None, log_matrix=N
         I_a=i_a,
         I_s=i_s,
         I_b=i_b,
-        ambiguous_count=int(flags.sum()),
-        per_cluster_S=s_values,
-        S_omega=math.fsum(float(v) for v in s_values),
     )

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 from kdeval.density import (
+    QUERY_BLOCK,
     BandwidthSearchSpec,
     auto_search_spec,
     choose_bandwidth,
@@ -172,6 +173,16 @@ def test_spec_validation():
 def test_auto_spec_degenerate_scale():
     assert auto_search_spec(np.zeros((10, 2))) is None
     assert choose_bandwidth(np.zeros((10, 2))) == 1.0
+
+
+def test_log_density_many_row_blocks_are_bit_exact():
+    rng = np.random.default_rng(8)
+    model = fit_kde(rng.standard_normal((45, 3)), 0.6)
+    queries = 2.0 * rng.standard_normal((2 * QUERY_BLOCK + 3, 3))
+    whole = log_density_many(model, queries)
+    rows = np.concatenate([log_density_many(model, q[None, :]) for q in queries])
+    assert whole.shape == (2 * QUERY_BLOCK + 3,)
+    assert np.array_equal(whole, rows)
 
 
 def test_oracle_equivalence_batch():

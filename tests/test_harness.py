@@ -13,6 +13,7 @@ from kdeval.config import (
     save_params_config,
 )
 from kdeval.data_io import Dataset, make_blobs, save_dataset_csv
+from kdeval.density import BandwidthSearchSpec
 from kdeval.harness import (
     aggregate_accuracy,
     calibrate,
@@ -308,21 +309,45 @@ def test_folds_apply_to_auto_grid(monkeypatch):
         config = build_run_config(seed=1, indices=("new",), folds=folds)
         report = evaluate_dataset(config, ds, candidates=[ref])
         bandwidths[folds] = report.rows[0].bandwidths
-        direct = fit_profiles(ds, ref, config.kdi_params, folds=folds)
+        direct = fit_profiles(ds, ref, config.kdi_params, config.bw_spec())
         assert bandwidths[folds] == tuple(p.model.bandwidth for p in direct)
     assert bandwidths[2] != bandwidths[5]
     # calibrate fits its profiles with the same folds
     seen = []
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("folds"))
-        return fit_profiles(*args, **kwargs)
+    def spy(data, part, params, bw_spec=None):
+        seen.append(bw_spec.folds)
+        return fit_profiles(data, part, params, bw_spec)
 
     monkeypatch.setattr(harness, "fit_profiles", spy)
     calibrate(build_run_config(seed=1, k_min=2, k_max=2, folds=3), [ds])
     assert seen and set(seen) == {3}
     with pytest.raises(ValueError, match="folds"):
         build_run_config(seed=1, folds=1)
+
+
+def test_bw_spec_carries_folds_and_kdi_seed():
+    ds = make_blobs(2, 30, [(0.0, 0.0), (8.0, 8.0)], sigma=0.5, seed=6)
+    ref = canonicalize(ds.reference_labels, source="reference")
+    grids = (("", None), ("0.25, 0.3, 0.35, 0.4, 0.45, 0.5", (0.25, 0.3, 0.35, 0.4, 0.45, 0.5)))
+    for grid_text, grid in grids:
+        overrides = {("bandwidth", "grid"): grid_text, ("bandwidth", "folds"): "3",
+                     ("kdi", "seed"): "6"}
+        config = build_run_config(seed=1, file_overrides=overrides, indices=("new",))
+        assert config.bw_spec() == BandwidthSearchSpec(grid=grid, folds=3, seed=6)
+        # explicit and auto grids alike shuffle their folds with the KDI seed
+        report = evaluate_dataset(config, ds, candidates=[ref])
+
+        def bandwidths(seed):
+            profiles = fit_profiles(ds, ref, KdiParams(), BandwidthSearchSpec(grid, 3, seed))
+            return tuple(p.model.bandwidth for p in profiles)
+
+        assert report.rows[0].bandwidths == bandwidths(6) != bandwidths(1)
+
+
+def test_folds_only_in_bandwidth_section():
+    with pytest.raises(ValueError, match=r"unknown \[run\] option 'folds'"):
+        build_run_config(seed=1, file_overrides={("run", "folds"): "3"})
 
 
 def test_seed_is_mandatory():
@@ -382,7 +407,7 @@ def test_variant_columns_and_boundary_mix():
     # each variant column is the standalone public function on the same profiles
     p = config.kdi_params
     for row, part in zip(report.rows, report.candidates):
-        profiles = fit_profiles(ds, part, p, folds=config.folds)
+        profiles = fit_profiles(ds, part, p, config.bw_spec())
         lm = cross_log_density(ds, profiles)
         expected = {
             "ia_v1": ambiguous_v1(ds, profiles, lm, p.pair_local),
@@ -470,3 +495,11 @@ def test_cli_error_taxonomy(tmp_path, capsys):
     missing = str(tmp_path / "missing.ini")
     assert cli.main(["evaluate", str(unlabeled), "--seed", "1", "--config", missing,
                      "--out", out]) == 1
+    # a bad bandwidth grid is rejected when the config is built
+    for grid in ("1.0, 0.5", "-1"):
+        bad_grid = tmp_path / "grid.ini"
+        bad_grid.write_text(f"[bandwidth]\ngrid = {grid}\n")
+        capsys.readouterr()
+        assert cli.main(["evaluate", str(unlabeled), "--seed", "1", "--config", str(bad_grid),
+                         "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("usage error"), grid

@@ -375,7 +375,26 @@ def test_kdi_variant_selection_changes_fields():
     v1 = kdi_index(ds, part, KdiParams(seed=1, ambiguous_variant="v1"), bw_spec=SPEC)
     assert v1.I_a == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert v1.I == pytest.approx(0.5 * v1.I_a + 0.5 * v1.I_s, abs=1e-15)
-    assert main.ambiguous_count == v1.ambiguous_count  # main-definition count
+    assert main.I_a != v1.I_a and main.I_s == v1.I_s
+
+
+def test_kdi_index_bw_spec_reaches_auto_grid(monkeypatch):
+    ds = make_blobs(2, 30, [(0.0, 0.0), (8.0, 8.0)], sigma=0.5, seed=6)
+    part = canonicalize(ds.reference_labels)
+    chosen = []
+
+    def recording(points, spec=None):
+        chosen.append(density.choose_bandwidth(points, spec))
+        return chosen[-1]
+
+    monkeypatch.setattr(kdi, "choose_bandwidth", recording)
+    params = KdiParams(seed=1)
+    spec = BandwidthSearchSpec(folds=3, seed=6)
+    kdi_index(ds, part, params, bw_spec=spec)
+    from_kdi = chosen.copy()
+    direct = [p.model.bandwidth for p in fit_profiles(ds, part, params, spec)]
+    five = [p.model.bandwidth for p in fit_profiles(ds, part, params, BandwidthSearchSpec(seed=6))]
+    assert from_kdi == direct != five
 
 
 def test_kdi_index_dispatches_every_variant_pair():
