@@ -37,10 +37,6 @@ class DensityModel:
     bandwidth: float
 
     @property
-    def m(self):
-        return self.training_points.shape[0]
-
-    @property
     def d(self):
         return self.training_points.shape[1]
 
@@ -86,23 +82,28 @@ def fit_kde(points, h):
     return DensityModel(training_points=pts, bandwidth=h)
 
 
-def log_density_many(model, queries):
-    """Log KDE density at each query row, computed with log-sum-exp.
+def _log_kde(sq, h, d):
+    """Log KDE density of each row of a (rows, m) block of squared distances
+    to the m training points, bandwidth h, dimension d.  The one kernel.
 
     log f(x) = logsumexp_i(-|x - x_i|^2 / 2h^2) - log m - d*log h - (d/2)*log 2pi
     """
+    norm = np.log(sq.shape[1]) + d * np.log(h) + 0.5 * d * LOG_2PI
+    return logsumexp(-sq / (2.0 * h * h), axis=1) - norm
+
+
+def log_density_many(model, queries):
+    """Log KDE density at each query row (see _log_kde), in QUERY_BLOCK row blocks."""
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim == 1:
         q = q.reshape(-1, 1) if model.d == 1 else q.reshape(1, -1)
     if q.shape[1] != model.d:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
-    h = model.bandwidth
-    norm = np.log(model.m) + model.d * np.log(h) + 0.5 * model.d * LOG_2PI
     out = np.empty(q.shape[0])
     for start in range(0, q.shape[0], QUERY_BLOCK):
         rows = slice(start, start + QUERY_BLOCK)
         sq = cdist(q[rows], model.training_points, "sqeuclidean")
-        out[rows] = logsumexp(-sq / (2.0 * h * h), axis=1) - norm
+        out[rows] = _log_kde(sq, model.bandwidth, model.d)
     return out
 
 
@@ -112,40 +113,40 @@ def log_density(model, x):
     return float(log_density_many(model, x.reshape(1, -1))[0])
 
 
-def select_bandwidth(points, spec):
-    """Pick the bandwidth in spec.grid (not None) maximizing held-out log-likelihood.
+def _cv_scores(pts, spec):
+    """CV score of each value of spec.grid: the mean over folds of the summed
+    held-out log-densities.  Folds are a seeded shuffle of the points; each
+    fold's held-out x training distances are computed once for the whole grid."""
+    m, d = pts.shape
+    folds = np.array_split(np.random.default_rng(spec.seed).permutation(m), spec.folds)
+    sums = np.empty((len(spec.grid), spec.folds))
+    for f, held in enumerate(folds):
+        sq = cdist(pts[held], np.delete(pts, held, axis=0), "sqeuclidean")
+        for g, h in enumerate(spec.grid):
+            ll = _log_kde(sq, h, d)
+            sums[g, f] = np.where(np.isfinite(ll), ll, UNDERFLOW_PENALTY).sum()
+    return sums.mean(axis=1)
 
-    Folds are a seeded shuffle of the points; the score of a candidate h is
-    the mean over folds of the summed held-out log-densities.  Ties (and
-    near-ties are not special-cased) resolve toward the larger bandwidth.
-    Raises ValueError when there are fewer points than folds; callers fall
-    back to fallback_bandwidth in that case.
+
+def select_bandwidth(points, spec):
+    """Pick the bandwidth in spec.grid maximizing held-out log-likelihood (see
+    _cv_scores).  Ties (and near-ties are not special-cased) resolve toward
+    the larger bandwidth.  A one-value grid is returned as it is.
+
+    Raises ValueError when spec has no grid (choose_bandwidth resolves the
+    auto grid) or when there are fewer points than folds; callers fall back
+    to fallback_bandwidth in that case.
     """
-    pts = _as_points(points)
-    m = pts.shape[0]
+    if spec.grid is None:
+        raise ValueError("spec has no grid; choose_bandwidth resolves the auto grid")
     if len(spec.grid) == 1:
         return spec.grid[0]
+    pts = _as_points(points)
+    m = pts.shape[0]
     if m < spec.folds:
         raise ValueError(f"need at least {spec.folds} points for {spec.folds}-fold CV, got {m}")
-    rng = np.random.default_rng(spec.seed)
-    order = rng.permutation(m)
-    folds = np.array_split(order, spec.folds)
-    best_h = None
-    best_score = -np.inf
-    for h in spec.grid:
-        fold_scores = []
-        for held in folds:
-            mask = np.ones(m, dtype=bool)
-            mask[held] = False
-            model = fit_kde(pts[mask], h)
-            ll = log_density_many(model, pts[held])
-            ll = np.where(np.isfinite(ll), ll, UNDERFLOW_PENALTY)
-            fold_scores.append(ll.sum())
-        score = float(np.mean(fold_scores))
-        if score >= best_score:
-            best_score = score
-            best_h = h
-    return best_h
+    scores = _cv_scores(pts, spec)
+    return spec.grid[np.flatnonzero(scores == scores.max())[-1]]
 
 
 def fallback_bandwidth(points):
@@ -192,11 +193,12 @@ def auto_search_spec(points, folds=DEFAULT_FOLDS, seed=0):
 def choose_bandwidth(points, spec=None):
     """Bandwidth for one cluster: CV grid search when feasible, otherwise the
     fallback rule.  A spec without a grid (None: the default spec) searches
-    the cluster's scale-relative grid.  The one place that picks the route."""
+    the cluster's scale-relative grid; a one-value grid pins every cluster.
+    The one place that picks the route."""
     pts = _as_points(points)
     spec = BandwidthSearchSpec() if spec is None else spec
     if spec.grid is None:
         spec = auto_search_spec(pts, folds=spec.folds, seed=spec.seed)
-    if spec is None or pts.shape[0] < spec.folds:
+    if spec is None or (pts.shape[0] < spec.folds and len(spec.grid) > 1):
         return fallback_bandwidth(pts)
     return select_bandwidth(pts, spec)

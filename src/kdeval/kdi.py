@@ -188,11 +188,11 @@ def ambiguous_index(data, profiles, log_matrix=None):
     """Fraction of dataset points lying in at least two territories.
 
     Returns (I_a, per-point flags).  With a single cluster I_a is 0.
+    log_matrix is ignored: every sub-index reads cross_log_density.
     """
     if not profiles:
         raise ValueError("need at least one profile")
-    if log_matrix is None:
-        log_matrix = cross_log_density(data, profiles)
+    log_matrix = cross_log_density(data, profiles)
     flags = territory_membership(log_matrix, [p.territory for p in profiles]).sum(axis=1) >= 2
     return int(flags.sum()) / flags.shape[0], flags
 
@@ -220,12 +220,11 @@ def boundary_index(data, profiles, rho, log_matrix=None, members_only=False):
     average over clusters and dataset size.
 
     By default the count runs over the whole dataset; members_only restricts
-    it to the cluster's own points.
+    it to the cluster's own points.  log_matrix is ignored (see ambiguous_index).
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    if log_matrix is None:
-        log_matrix = cross_log_density(data, profiles)
+    log_matrix = cross_log_density(data, profiles)
     n, k = log_matrix.shape
     bands = [(float(p.g.min()), float(p.g.min()) + rho * p.delta_g) for p in profiles]
     inside = territory_membership(log_matrix, bands)
@@ -239,10 +238,9 @@ def pairwise_ambiguous(data, profiles, log_matrix=None, pair_local=True):
 
     A_ij is the fraction of points lying in both territories; with pair_local
     (the default) the fraction is over the members of clusters i and j, else
-    over the whole dataset.
+    over the whole dataset.  log_matrix is ignored (see ambiguous_index).
     """
-    if log_matrix is None:
-        log_matrix = cross_log_density(data, profiles)
+    log_matrix = cross_log_density(data, profiles)
     in_t = territory_membership(log_matrix, [p.territory for p in profiles]).astype(np.int64)
     n, k = log_matrix.shape
     if pair_local:
@@ -266,7 +264,7 @@ def ambiguous_v1(data, profiles, log_matrix=None, pair_local=True):
     k = len(profiles)
     if k < 2:
         return 0.0
-    a = pairwise_ambiguous(data, profiles, log_matrix=log_matrix, pair_local=pair_local)
+    a = pairwise_ambiguous(data, profiles, pair_local=pair_local)
     upper = a[np.triu_indices(k, 1)]
     return int((upper > 0).sum()) / upper.shape[0]
 
@@ -276,7 +274,7 @@ def ambiguous_v2(data, profiles, log_matrix=None, pair_local=True):
     k = len(profiles)
     if k < 2:
         return 0.0
-    a = pairwise_ambiguous(data, profiles, log_matrix=log_matrix, pair_local=pair_local)
+    a = pairwise_ambiguous(data, profiles, pair_local=pair_local)
     positives = [float(v) for v in a[np.triu_indices(k, 1)] if v > 0]
     if not positives:
         return 0.0

@@ -131,17 +131,14 @@ def kmeans(data, k, seed):
 
 
 def _log_gaussians(X, means, chols):
-    """Component-wise multivariate normal log-densities from Cholesky factors."""
-    n, d = X.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
-    for j in range(k):
-        diff = X - means[j]
-        solved = np.linalg.solve(chols[j], diff.T)
-        maha = (solved**2).sum(axis=0)
-        logdet = 2.0 * np.log(np.diag(chols[j])).sum()
-        out[:, j] = -0.5 * (maha + logdet + d * np.log(2.0 * np.pi))
-    return out
+    """Component-wise multivariate normal log-densities from Cholesky factors,
+    as an (n, k) array; one batched solve over the stacked factors."""
+    d = X.shape[1]
+    diff = X[None, :, :] - means[:, None, :]
+    solved = np.linalg.solve(chols, diff.transpose(0, 2, 1))
+    maha = (solved**2).sum(axis=1)
+    logdet = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+    return np.ascontiguousarray((-0.5 * (maha + logdet[:, None] + d * np.log(2.0 * np.pi))).T)
 
 
 def _em_init(data, k, seed, kind):

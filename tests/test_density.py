@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from kdeval import density
 from kdeval.density import (
     QUERY_BLOCK,
+    UNDERFLOW_PENALTY,
     BandwidthSearchSpec,
+    _cv_scores,
     auto_search_spec,
     choose_bandwidth,
     fallback_bandwidth,
@@ -135,6 +138,70 @@ def test_select_bandwidth_needs_enough_points():
     spec = BandwidthSearchSpec(grid=(0.5, 1.0), folds=5, seed=0)
     with pytest.raises(ValueError):
         select_bandwidth(np.arange(3.0), spec)
+
+
+def test_select_bandwidth_rejects_spec_without_grid():
+    with pytest.raises(ValueError, match="choose_bandwidth resolves the auto grid"):
+        select_bandwidth(np.arange(10.0), BandwidthSearchSpec())
+
+
+def test_choose_bandwidth_one_value_grid_pins_small_cluster():
+    spec = BandwidthSearchSpec(grid=(0.37,), folds=5, seed=0)
+    assert choose_bandwidth(np.arange(3.0), spec) == 0.37
+    assert choose_bandwidth([[2.0, 1.0]], spec) == 0.37
+    two_values = BandwidthSearchSpec(grid=(0.37, 0.5), folds=5, seed=0)
+    assert choose_bandwidth(np.arange(3.0), two_values) == fallback_bandwidth(np.arange(3.0))
+
+
+def _cv_scores_by_definition(pts, spec):
+    """Mean over folds of the summed held-out log-densities, one fit_kde per (h, fold)."""
+    m = pts.shape[0]
+    folds = np.array_split(np.random.default_rng(spec.seed).permutation(m), spec.folds)
+    scores = []
+    for h in spec.grid:
+        fold_scores = []
+        for held in folds:
+            mask = np.ones(m, dtype=bool)
+            mask[held] = False
+            ll = log_density_many(fit_kde(pts[mask], h), pts[held])
+            fold_scores.append(np.where(np.isfinite(ll), ll, UNDERFLOW_PENALTY).sum())
+        scores.append(float(np.mean(fold_scores)))
+    return np.array(scores)
+
+
+def test_cv_scores_match_per_fold_fit_kde_loop():
+    rng = np.random.default_rng(12)
+    cases = []
+    for folds in range(2, 11):
+        d = int(rng.integers(1, 5))
+        m = folds if folds % 3 == 0 else int(rng.integers(folds, 90))
+        pts = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3)
+        cases.append((pts, auto_search_spec(pts, folds=folds, seed=folds)))
+    cases.append((rng.standard_normal((25, 1)), BandwidthSearchSpec((0.1, 0.4, 2.0), 4, 1)))
+    coincident = np.vstack([np.zeros((12, 2)), rng.standard_normal((3, 2))])
+    cases.append((coincident, BandwidthSearchSpec((0.05, 0.5, 1.0, 3.0), 5, 2)))
+    cases.append((np.zeros((10, 2)), BandwidthSearchSpec((0.5, 1.0, 2.0), 5, 3)))
+    for pts, spec in cases:
+        assert np.array_equal(_cv_scores(pts, spec), _cv_scores_by_definition(pts, spec))
+
+
+def test_select_bandwidth_one_distance_block_per_fold(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(density, name, wrapper)
+
+    for name in ("cdist", "fit_kde", "log_density_many"):
+        counting(name, getattr(density, name))
+    pts = np.random.default_rng(13).standard_normal((60, 2))
+    spec = auto_search_spec(pts)
+    density.select_bandwidth(pts, spec)
+    assert len(spec.grid) == 20
+    assert calls == ["cdist"] * spec.folds
 
 
 def test_select_bandwidth_deterministic():

@@ -397,6 +397,15 @@ def test_kdi_index_bw_spec_reaches_auto_grid(monkeypatch):
     assert from_kdi == direct != five
 
 
+def test_one_value_grid_pins_singleton_cluster():
+    ds = make_blobs(2, 10, [(0.0, 0.0), (8.0, 8.0)], sigma=0.5, seed=6)
+    labels = ds.reference_labels.copy()
+    labels[0] = 2
+    profiles = _profiles(ds, labels, bw=BandwidthSearchSpec(grid=(0.37,), folds=5, seed=0))
+    assert min(p.n_members for p in profiles) == 1
+    assert [p.model.bandwidth for p in profiles] == [0.37] * 3
+
+
 def test_kdi_index_dispatches_every_variant_pair():
     ds, labels = _one_pair_overlap()
     part = canonicalize(labels)

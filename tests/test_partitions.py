@@ -5,6 +5,7 @@ from kdeval.baselines import adjusted_rand_index
 from kdeval.data_io import Dataset, make_blobs
 from kdeval.partitions import (
     GENERATORS,
+    _log_gaussians,
     agglomerative,
     build_candidates,
     canonicalize,
@@ -210,3 +211,19 @@ def test_partition_serialization_round_trip(tmp_path):
     for orig, loaded in zip(parts, back):
         assert orig.same_grouping(loaded)
         assert loaded.source == orig.source
+
+
+def test_log_gaussians_batched_solve_matches_per_component_loop():
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        n, d, k = int(rng.integers(1, 300)), int(rng.integers(1, 6)), int(rng.integers(1, 31))
+        X = 3.0 * rng.standard_normal((n, d))
+        means = 3.0 * rng.standard_normal((k, d))
+        a = rng.standard_normal((k, d, d))
+        chols = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d))
+        expected = np.empty((n, k))
+        for j in range(k):
+            solved = np.linalg.solve(chols[j], (X - means[j]).T)
+            logdet = 2.0 * np.log(np.diag(chols[j])).sum()
+            expected[:, j] = -0.5 * ((solved**2).sum(axis=0) + logdet + d * np.log(2.0 * np.pi))
+        assert np.array_equal(_log_gaussians(X, means, chols), expected)
