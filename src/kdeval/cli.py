@@ -128,11 +128,19 @@ def _dataset_files(directory):
 
 
 def _cmd_bench(args):
+    """Evaluate every dataset file; a dataset with a data error is reported
+    and skipped, and the run then exits 2 after aggregating the others."""
     config = _config_from_args(args)
     reports = []
+    status = 0
     for path in _dataset_files(args.directory):
-        dataset = _load(path, args)
-        report = evaluate_dataset(config, dataset)
+        try:
+            dataset = _load(path, args)
+            report = evaluate_dataset(config, dataset)
+        except (DataError, OSError, ValueError) as exc:
+            print(f"data error: {path}: {exc}", file=sys.stderr)
+            status = 2
+            continue
         write_report(report, os.path.join(args.out, dataset.id), dataset=dataset,
                      emit_svgs=config.emit_svg)
         reports.append(report)
@@ -141,11 +149,11 @@ def _cmd_bench(args):
         table = aggregate_accuracy(reports)
     except ValueError as exc:
         print(f"accuracy aggregation skipped: {exc}", file=sys.stderr)
-        return 0
+        return status
     write_accuracy(table, args.out)
     for index, (succeeded, total) in table.counts.items():
         print(f"{index}: {succeeded}/{total}")
-    return 0
+    return status
 
 
 def _cmd_calibrate(args):

@@ -24,6 +24,11 @@ MEDIAN_SUBSAMPLE = 500
 # value depends on that row alone, so blocking is bit-exact.
 QUERY_BLOCK = 2048
 
+# Elements per CV kernel block: bounds the (bandwidths, held, train) temporaries
+# of one fold.  Each bandwidth's values depend on that bandwidth alone, so
+# chunking the grid is bit-exact.
+CV_BLOCK = 65536
+
 # Guard for held-out points whose log-density is non-finite; cannot trigger
 # with log-sum-exp on finite inputs but bounds the CV objective regardless.
 UNDERFLOW_PENALTY = -1e10
@@ -82,14 +87,16 @@ def fit_kde(points, h):
     return DensityModel(training_points=pts, bandwidth=h)
 
 
-def _log_kde(sq, h, d):
-    """Log KDE density of each row of a (rows, m) block of squared distances
-    to the m training points, bandwidth h, dimension d.  The one kernel.
+def _log_kde(sq, hs, d):
+    """(len(hs), rows) log KDE densities of each row of a (rows, m) block of
+    squared distances to the m training points, for each bandwidth in hs, in
+    dimension d.  The one kernel; one logsumexp call covers every bandwidth.
 
     log f(x) = logsumexp_i(-|x - x_i|^2 / 2h^2) - log m - d*log h - (d/2)*log 2pi
     """
-    norm = np.log(sq.shape[1]) + d * np.log(h) + 0.5 * d * LOG_2PI
-    return logsumexp(-sq / (2.0 * h * h), axis=1) - norm
+    hs = np.asarray(hs, dtype=np.float64)[:, None]
+    norm = np.log(sq.shape[1]) + d * np.log(hs) + 0.5 * d * LOG_2PI
+    return logsumexp(-sq / (2.0 * hs * hs)[:, :, None], axis=2) - norm
 
 
 def log_density_many(model, queries):
@@ -103,7 +110,7 @@ def log_density_many(model, queries):
     for start in range(0, q.shape[0], QUERY_BLOCK):
         rows = slice(start, start + QUERY_BLOCK)
         sq = cdist(q[rows], model.training_points, "sqeuclidean")
-        out[rows] = _log_kde(sq, model.bandwidth, model.d)
+        out[rows] = _log_kde(sq, (model.bandwidth,), model.d)[0]
     return out
 
 
@@ -116,15 +123,19 @@ def log_density(model, x):
 def _cv_scores(pts, spec):
     """CV score of each value of spec.grid: the mean over folds of the summed
     held-out log-densities.  Folds are a seeded shuffle of the points; each
-    fold's held-out x training distances are computed once for the whole grid."""
+    fold's held-out x training distances are computed once for the whole grid,
+    and the kernel runs on CV_BLOCK-bounded chunks of the grid."""
     m, d = pts.shape
     folds = np.array_split(np.random.default_rng(spec.seed).permutation(m), spec.folds)
     sums = np.empty((len(spec.grid), spec.folds))
     for f, held in enumerate(folds):
         sq = cdist(pts[held], np.delete(pts, held, axis=0), "sqeuclidean")
-        for g, h in enumerate(spec.grid):
-            ll = _log_kde(sq, h, d)
-            sums[g, f] = np.where(np.isfinite(ll), ll, UNDERFLOW_PENALTY).sum()
+        chunk = max(1, CV_BLOCK // sq.size)
+        for start in range(0, len(spec.grid), chunk):
+            ll = _log_kde(sq, spec.grid[start : start + chunk], d)
+            sums[start : start + chunk, f] = np.where(
+                np.isfinite(ll), ll, UNDERFLOW_PENALTY
+            ).sum(axis=1)
     return sums.mean(axis=1)
 
 

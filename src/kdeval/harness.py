@@ -100,8 +100,9 @@ def _candidates(config, dataset):
     return build_candidates(dataset, range(config.k_min, k_hi + 1), config.seed, config.generators)
 
 
-def _score_candidate(data, part, config, record):
-    """Fill one CandidateResult's score columns, recording failures."""
+def _score_candidate(data, part, config, record, cache):
+    """Fill one CandidateResult's score columns, recording failures.  cache is
+    the dataset's profile cache (see fit_profiles)."""
     scores = {}
     bandwidths = ()
     for name, fn in (("ch", calinski_harabasz), ("sc", silhouette), ("db", davies_bouldin)):
@@ -114,7 +115,7 @@ def _score_candidate(data, part, config, record):
             record(f"{name} undefined for {part.source}: {exc}")
     if "new" in config.indices:
         params = config.kdi_params
-        profiles = fit_profiles(data, part, params, config.bw_spec())
+        profiles = fit_profiles(data, part, params, config.bw_spec(), cache=cache)
         score = kdi_index(data, part, params, profiles=profiles)
         scores["new"] = score.I
         scores["new_ia"] = score.I_a
@@ -145,7 +146,8 @@ def evaluate_dataset(config, dataset, candidates=None):
     Candidates default to every configured generator for every k in the
     config range (clamped to n), deduplicated, plus the reference partition
     when the dataset has labels.  Index or generator failures on individual
-    candidates become warnings, never run failures.
+    candidates become warnings, never run failures.  Candidates that share a
+    cluster share its density fit (one profile cache per call).
     """
     captured = []
 
@@ -166,8 +168,9 @@ def evaluate_dataset(config, dataset, candidates=None):
 
     t0 = time.monotonic()
     rows = []
+    cache = {}
     for part in candidates:
-        scores, bandwidths = _score_candidate(dataset, part, config, record)
+        scores, bandwidths = _score_candidate(dataset, part, config, record, cache)
         ari = adjusted_rand_index(part, reference) if reference is not None else None
         rows.append(
             CandidateResult(
@@ -175,6 +178,8 @@ def evaluate_dataset(config, dataset, candidates=None):
             )
         )
     t_score = time.monotonic() - t0
+    # every profile was either fitted into the cache or read from it
+    n_profiles = sum(len(row.bandwidths) for row in rows)
 
     rankings = {}
     champion_ari = {}
@@ -196,7 +201,12 @@ def evaluate_dataset(config, dataset, candidates=None):
         champion_ari=champion_ari,
         success=success,
         warnings=captured,
-        runtime={"generate_s": t_generate, "score_s": t_score},
+        runtime={
+            "generate_s": t_generate,
+            "score_s": t_score,
+            "profile_fits": len(cache),
+            "profile_cache_hits": n_profiles - len(cache),
+        },
         snapshot=config_snapshot(config),
         candidates=list(candidates),
     )
@@ -273,8 +283,8 @@ def write_report(report, out_dir, dataset=None, emit_svgs=False):
             fh.write(f"  {key} = {value}\n")
 
     with open(os.path.join(out_dir, "runtime.txt"), "w", encoding="utf-8") as fh:
-        for phase, seconds in report.runtime.items():
-            fh.write(f"{phase}: {seconds:.3f}\n")
+        for name, value in report.runtime.items():
+            fh.write(f"{name}: {value}\n" if isinstance(value, int) else f"{name}: {value:.3f}\n")
 
     if candidates is not None:
         save_partitions(os.path.join(out_dir, "candidates"), candidates)
@@ -366,7 +376,10 @@ def calibrate(config, training_datasets, out_path=None):
     for ds in training_datasets:
         candidates = _candidates(config, ds)
         reference = canonicalize(ds.reference_labels, source="reference")
-        profiles = [fit_profiles(ds, part, base, config.bw_spec()) for part in candidates]
+        cache = {}
+        profiles = [
+            fit_profiles(ds, part, base, config.bw_spec(), cache=cache) for part in candidates
+        ]
         i_s = [similarity_index(prof, ds.n, base.min_cluster_size)[0] for prof in profiles]
         aris = [adjusted_rand_index(part, reference) for part in candidates]
         for alpha in CALIBRATION_ALPHAS:

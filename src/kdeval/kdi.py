@@ -111,7 +111,7 @@ def _territory(g, spread, p):
     return (lo - p.alpha1 * spread, hi + p.alpha2 * spread)
 
 
-def fit_profiles(data, partition, params, bw_spec=None):
+def fit_profiles(data, partition, params, bw_spec=None, cache=None):
     """Fit one density profile per cluster.
 
     Bandwidths come from choose_bandwidth under bw_spec (None: the auto grid
@@ -119,19 +119,31 @@ def fit_profiles(data, partition, params, bw_spec=None):
     seed, and independent of cluster numbering: every cluster uses the same
     seed on its own member set.  Each cluster's KDE is evaluated once, over
     the whole dataset.
+
+    cache, a dict owned by the caller and used for one dataset only, maps
+    (member index bytes, spec) to the fitted (model, column); a cluster that
+    another partition of the same dataset already has is not fitted again.
+    The territories are always rebuilt from params.
     """
     X = data.points
     labels = partition.labels
     if labels.shape[0] != X.shape[0]:
         raise ValueError("partition length does not match dataset size")
     spec = BandwidthSearchSpec(seed=params.seed) if bw_spec is None else bw_spec
+    cache = {} if cache is None else cache
     profiles = []
     for q in range(partition.K):
         idx = np.flatnonzero(labels == q)
-        pts = X[idx]
-        h = choose_bandwidth(pts, spec)
-        model = fit_kde(pts, h)
-        column = log_density_many(model, X)
+        key = (idx.tobytes(), spec)
+        if key not in cache:
+            pts = X[idx]
+            model = fit_kde(pts, choose_bandwidth(pts, spec))
+            column = log_density_many(model, X)
+            # shared by every partition with this cluster: fail loudly on a write
+            model.training_points.flags.writeable = False
+            column.flags.writeable = False
+            cache[key] = (model, column)
+        model, column = cache[key]
         g = column[idx]
         like = np.maximum(np.exp(g), LIKELIHOOD_FLOOR)
         spread = float(np.std(g))

@@ -6,6 +6,8 @@ from scipy.integrate import trapezoid
 
 from kdeval import density
 from kdeval.density import (
+    CV_BLOCK,
+    GRID_SIZE,
     QUERY_BLOCK,
     UNDERFLOW_PENALTY,
     BandwidthSearchSpec,
@@ -181,6 +183,15 @@ def test_cv_scores_match_per_fold_fit_kde_loop():
     coincident = np.vstack([np.zeros((12, 2)), rng.standard_normal((3, 2))])
     cases.append((coincident, BandwidthSearchSpec((0.05, 0.5, 1.0, 3.0), 5, 2)))
     cases.append((np.zeros((10, 2)), BandwidthSearchSpec((0.5, 1.0, 2.0), 5, 3)))
+    # 5-fold blocks of 80 x 320 and 140 x 560 distances split the grid into
+    # several CV_BLOCK chunks and into one bandwidth per chunk; 8 x 32 fits
+    # the whole grid in one chunk
+    assert 1 < CV_BLOCK // (80 * 320) < GRID_SIZE
+    assert CV_BLOCK // (140 * 560) == 0
+    assert CV_BLOCK // (8 * 32) >= GRID_SIZE
+    for m, d in ((400, 2), (700, 1), (40, 3)):
+        pts = rng.standard_normal((m, d))
+        cases.append((pts, auto_search_spec(pts, folds=5, seed=m)))
     for pts, spec in cases:
         assert np.array_equal(_cv_scores(pts, spec), _cv_scores_by_definition(pts, spec))
 

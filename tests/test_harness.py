@@ -1,10 +1,13 @@
 import dataclasses
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kdeval import cli, harness
+from kdeval import cli, harness, kdi
 from kdeval.baselines import HIGHER_BETTER, SMALLER_BETTER
 from kdeval.config import (
     ENV_CONFIG,
@@ -13,7 +16,7 @@ from kdeval.config import (
     save_params_config,
 )
 from kdeval.data_io import Dataset, make_blobs, save_dataset_csv
-from kdeval.density import BandwidthSearchSpec
+from kdeval.density import BandwidthSearchSpec, choose_bandwidth
 from kdeval.harness import (
     aggregate_accuracy,
     calibrate,
@@ -236,6 +239,87 @@ def test_calibrate_easy_dataset_tie_breaks(tmp_path):
     assert rebuilt.kdi_params == best
 
 
+def _without_profile_cache(monkeypatch):
+    """Route the harness's fit_profiles calls around the profile cache."""
+
+    def uncached(*args, cache=None, **kwargs):
+        return fit_profiles(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_profiles", uncached)
+
+
+def _report_files(config, dataset):
+    report = evaluate_dataset(config, dataset)
+    with tempfile.TemporaryDirectory() as out:
+        write_report(report, out, dataset=dataset)
+        files = {}
+        for root, _dirs, names in os.walk(out):
+            for name in names:
+                if name != "runtime.txt":
+                    with open(os.path.join(root, name), "rb") as fh:
+                        files[os.path.relpath(os.path.join(root, name), out)] = fh.read()
+    return files
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(12, 40),
+    d=st.integers(1, 3),
+    coincident=st.integers(0, 8),
+    k_max=st.integers(2, 5),
+)
+def test_profile_cache_keeps_reports_bit_identical(seed, n, d, coincident, k_max):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d)) + 5.0 * rng.integers(0, 3, size=(n, 1))
+    pts[:coincident] = pts[0]
+    ds = Dataset(pts, reference_labels=rng.integers(0, 3, n), id="prop")
+    config = build_run_config(seed=seed, k_min=2, k_max=k_max)
+    cached = _report_files(config, ds)
+    with pytest.MonkeyPatch.context() as mp:
+        _without_profile_cache(mp)
+        assert _report_files(config, ds) == cached
+    assert "report.csv" in cached and "summary.txt" in cached
+
+
+def test_one_bandwidth_choice_per_distinct_cluster(monkeypatch, tmp_path):
+    calls = []
+
+    def counting(points, spec=None):
+        calls.append(points.tobytes())
+        return choose_bandwidth(points, spec)
+
+    monkeypatch.setattr(kdi, "choose_bandwidth", counting)
+    ds = make_blobs(3, 20, [(0, 0), (6, 0), (0, 6)], sigma=0.8, seed=3)
+    report = evaluate_dataset(build_run_config(seed=2, k_min=2, k_max=5), ds)
+    clusters = [
+        np.flatnonzero(part.labels == q).tobytes()
+        for part in report.candidates
+        for q in range(part.K)
+    ]
+    distinct = len(set(clusters))
+    assert len(calls) == len(set(calls)) == distinct < len(clusters)
+    assert report.runtime["profile_fits"] == distinct
+    assert report.runtime["profile_cache_hits"] == len(clusters) - distinct
+    write_report(report, tmp_path)
+    lines = (tmp_path / "runtime.txt").read_text().splitlines()
+    assert f"profile_fits: {distinct}" in lines
+    assert f"profile_cache_hits: {len(clusters) - distinct}" in lines
+
+
+def test_calibrate_same_with_and_without_profile_cache(monkeypatch, tmp_path):
+    train = [
+        make_blobs(3, 15, [(0, 0), (5, 0), (0, 5)], sigma=0.9, seed=seed, id=f"t{seed}")
+        for seed in (4, 5)
+    ]
+    config = build_run_config(seed=3, k_min=2, k_max=4)
+    cached = calibrate(config, train, out_path=tmp_path / "cached.ini")
+    _without_profile_cache(monkeypatch)
+    uncached = calibrate(config, train, out_path=tmp_path / "uncached.ini")
+    assert cached == uncached
+    assert (tmp_path / "cached.ini").read_bytes() == (tmp_path / "uncached.ini").read_bytes()
+
+
 def test_calibrate_empty_training_list_is_error():
     config = build_run_config(seed=5)
     with pytest.raises(ValueError):
@@ -315,9 +399,9 @@ def test_folds_apply_to_auto_grid(monkeypatch):
     # calibrate fits its profiles with the same folds
     seen = []
 
-    def spy(data, part, params, bw_spec=None):
+    def spy(data, part, params, bw_spec=None, cache=None):
         seen.append(bw_spec.folds)
-        return fit_profiles(data, part, params, bw_spec)
+        return fit_profiles(data, part, params, bw_spec, cache=cache)
 
     monkeypatch.setattr(harness, "fit_profiles", spy)
     calibrate(build_run_config(seed=1, k_min=2, k_max=2, folds=3), [ds])
@@ -389,6 +473,25 @@ def test_cli_bench(tmp_path):
     assert (out / "accuracy.csv").exists()
     grid = (out / "grid.csv").read_text().splitlines()
     assert grid[0] == "index,a,b"
+
+
+def test_cli_bench_keeps_going_past_a_bad_dataset(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "a_bad.csv").write_text("0.0,1.0,0\n0.5,oops,1\n")
+    save_dataset_csv(make_blobs(2, 8, [(0, 0), (8, 8)], 0.5, seed=6, id="b"), data / "b.csv")
+    out = tmp_path / "bench"
+    args = ["bench", str(data), "--label-column", "-1", "--k-min", "2", "--k-max", "3",
+            "--seed", "1", "--out", str(out)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "a_bad.csv" in err and "line 2" in err
+    assert (out / "b" / "report.csv").exists()
+    assert (out / "grid.csv").read_text().splitlines()[0] == "index,b"
+    assert (out / "accuracy.csv").exists()
+    os.remove(data / "b.csv")
+    assert cli.main(args) == 2
+    assert "accuracy aggregation skipped" in capsys.readouterr().err
 
 
 def test_variant_columns_and_boundary_mix():

@@ -548,3 +548,29 @@ def test_similarity_family_matches_definition():
     assert i_s == pytest.approx(1.0 - sum(main) / n, abs=1e-12)
     assert similarity_v1(profiles, n, m) == pytest.approx(1.0 - sum(v1) / n, abs=1e-12)
     assert similarity_v2(profiles, n, m) == pytest.approx(1.0 - sum(v2) / n, abs=1e-12)
+
+
+def test_profile_cache_shares_read_only_fits():
+    ds = make_blobs(3, 12, [(0, 0), (3, 0), (0, 3)], sigma=0.8, seed=2)
+    three = canonicalize(ds.reference_labels)
+    # clusters 0 and 1 of the reference, cluster 2 merged into 1
+    two = canonicalize(np.minimum(ds.reference_labels, 1))
+    params = KdiParams(seed=0)
+    cache = {}
+    first = fit_profiles(ds, three, params, bw_spec=SPEC, cache=cache)
+    second = fit_profiles(ds, two, params, bw_spec=SPEC, cache=cache)
+    assert len(cache) == 4
+    assert second[0].log_column is first[0].log_column
+    assert second[0].model is first[0].model
+    for cached, fresh in zip(second, fit_profiles(ds, two, params, bw_spec=SPEC)):
+        np.testing.assert_array_equal(cached.log_column, fresh.log_column)
+        assert cached.territory == fresh.territory
+    # the spec is part of the key: another grid on the same members is a new fit
+    other = BandwidthSearchSpec(grid=(0.25,), folds=2, seed=0)
+    pinned = fit_profiles(ds, two, params, bw_spec=other, cache=cache)
+    assert len(cache) == 6 and [p.model.bandwidth for p in pinned] == [0.25, 0.25]
+    for p in first + second:
+        with pytest.raises(ValueError, match="read-only"):
+            p.log_column[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.model.training_points[0, 0] = 0.0
