@@ -128,14 +128,19 @@ def _dataset_files(directory):
 
 
 def _cmd_bench(args):
-    """Evaluate every dataset file; a dataset with a data error is reported
-    and skipped, and the run then exits 2 after aggregating the others."""
+    """Evaluate every dataset file; a dataset with a data error, or whose id
+    (file stem) an earlier file's report already took, is reported and
+    skipped, and the run then exits 2 after aggregating the others."""
     config = _config_from_args(args)
     reports = []
+    written = {}  # dataset id -> the file whose report is in <out>/<id>
     status = 0
     for path in _dataset_files(args.directory):
         try:
             dataset = _load(path, args)
+            if dataset.id in written:
+                earlier = written[dataset.id]
+                raise DataError(f"dataset id {dataset.id!r} is already taken by {earlier}")
             report = evaluate_dataset(config, dataset)
         except (DataError, OSError, ValueError) as exc:
             print(f"data error: {path}: {exc}", file=sys.stderr)
@@ -143,6 +148,7 @@ def _cmd_bench(args):
             continue
         write_report(report, os.path.join(args.out, dataset.id), dataset=dataset,
                      emit_svgs=config.emit_svg)
+        written[dataset.id] = path
         reports.append(report)
         print(f"{dataset.id}: {len(report.rows)} candidates scored")
     try:

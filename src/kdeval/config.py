@@ -35,6 +35,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("seed is mandatory")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.k_min < 1 or self.k_max < self.k_min:
             raise ValueError(f"bad k range [{self.k_min}, {self.k_max}]")
         unknown = set(self.indices) - {"ch", "sc", "db", "new"}

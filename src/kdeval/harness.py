@@ -30,10 +30,9 @@ from .kdi import (
     ambiguous_index,
     fit_profiles,
     kdi_index,
-    retarget,
     similarity_index,
 )
-from .partitions import build_candidates, canonicalize, save_partitions
+from .partitions import build_candidates, save_partitions
 from .svgplot import emit_svg
 
 SUCCESS_THRESHOLD = 0.95
@@ -150,10 +149,6 @@ def evaluate_dataset(config, dataset, candidates=None):
     cluster share its density fit (one profile cache per call).
     """
     captured = []
-
-    def record(message):
-        captured.append(str(message))
-
     t0 = time.monotonic()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -162,15 +157,12 @@ def evaluate_dataset(config, dataset, candidates=None):
     captured.extend(str(w.message) for w in caught)
     t_generate = time.monotonic() - t0
 
-    reference = None
-    if dataset.reference_labels is not None:
-        reference = canonicalize(dataset.reference_labels, source="reference")
-
+    reference = dataset.reference_labels
     t0 = time.monotonic()
     rows = []
     cache = {}
     for part in candidates:
-        scores, bandwidths = _score_candidate(dataset, part, config, record, cache)
+        scores, bandwidths = _score_candidate(dataset, part, config, captured.append, cache)
         ari = adjusted_rand_index(part, reference) if reference is not None else None
         rows.append(
             CandidateResult(
@@ -375,16 +367,15 @@ def calibrate(config, training_datasets, out_path=None):
     successes = {(d, a): 0 for d in CALIBRATION_DELTAS for a in CALIBRATION_ALPHAS}
     for ds in training_datasets:
         candidates = _candidates(config, ds)
-        reference = canonicalize(ds.reference_labels, source="reference")
+        aris = [adjusted_rand_index(part, ds.reference_labels) for part in candidates]
         cache = {}
-        profiles = [
-            fit_profiles(ds, part, base, config.bw_spec(), cache=cache) for part in candidates
-        ]
-        i_s = [similarity_index(prof, ds.n, base.min_cluster_size)[0] for prof in profiles]
-        aris = [adjusted_rand_index(part, reference) for part in candidates]
         for alpha in CALIBRATION_ALPHAS:
             swept = dataclasses.replace(base, alpha1=alpha, alpha2=alpha)
-            i_a = [ambiguous_index(ds, retarget(prof, swept))[0] for prof in profiles]
+            profiles = [
+                fit_profiles(ds, part, swept, config.bw_spec(), cache=cache) for part in candidates
+            ]
+            i_a = [ambiguous_index(ds, prof)[0] for prof in profiles]
+            i_s = [similarity_index(prof, ds.n, base.min_cluster_size)[0] for prof in profiles]
             for delta in CALIBRATION_DELTAS:
                 entries = [
                     (delta * ia + (1.0 - delta) * is_, part.K, part.source)

@@ -12,7 +12,7 @@ relabeling of the clusters.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .density import (
 )
 
 LIKELIHOOD_FLOOR = 1e-300
+
+S_V3_CENTERS = ("mean", "median")
+S_V3_METRICS = ("abs", "squared")
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,12 @@ class KdiParams:
             raise ValueError(f"similarity_variant must be one of {tuple(SIMILARITY)}")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, allowed in (("s_v3_center", S_V3_CENTERS), ("s_v3_metric", S_V3_METRICS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,6 @@ class ClusterDensityProfile:
     log-likelihood of every dataset point under the cluster's KDE (G_q is
     its member slice)."""
 
-    label: int
     member_indices: np.ndarray
     model: object
     g: np.ndarray
@@ -149,7 +157,6 @@ def fit_profiles(data, partition, params, bw_spec=None, cache=None):
         spread = float(np.std(g))
         profiles.append(
             ClusterDensityProfile(
-                label=q,
                 member_indices=idx,
                 model=model,
                 g=g,
@@ -160,12 +167,6 @@ def fit_profiles(data, partition, params, bw_spec=None, cache=None):
             )
         )
     return profiles
-
-
-def retarget(profiles, params):
-    """The profiles with territories rebuilt from params' alpha/beta; the
-    fitted densities and log-likelihoods are reused as they are."""
-    return [replace(p, territory=_territory(p.g, p.delta_g, params)) for p in profiles]
 
 
 def territory_contains(profile, y):
@@ -212,9 +213,11 @@ def ambiguous_index(data, profiles, log_matrix=None):
 def _similarity(profiles, n_total, min_cluster_size, s_of):
     """(1 - sum_q S_q / n, S) with S_q = s_of(profile); clusters with fewer
     than min_cluster_size members contribute 0.  Likelihoods are floored at
-    LIKELIHOOD_FLOOR, so every maximum s_of divides by is positive."""
+    LIKELIHOOD_FLOOR, so every maximum s_of divides by is positive.  With
+    all-equal likelihoods rounding can lift sum_q S_q a few ulps above n; the
+    index is then 0, not a tiny negative number."""
     s_values = [float(s_of(p)) if p.n_members >= min_cluster_size else 0.0 for p in profiles]
-    return 1.0 - math.fsum(s_values) / n_total, np.array(s_values)
+    return max(0.0, 1.0 - math.fsum(s_values) / n_total), np.array(s_values)
 
 
 def similarity_index(profiles, n_total, min_cluster_size=3):
@@ -293,25 +296,17 @@ def ambiguous_v2(data, profiles, log_matrix=None, pair_local=True):
     return math.fsum(positives) / len(positives)
 
 
-def sampling_box(points, pad_fraction=0.1):
-    """Axis-aligned bounding box of the data expanded by pad_fraction per side
-    (flat dimensions get a fixed 0.1 pad)."""
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    width = hi - lo
-    pad = np.where(width > 0, pad_fraction * width, pad_fraction)
-    return lo - pad, hi + pad
-
-
 def ambiguous_v3(data, profiles, mc_samples, seed):
     """Monte-Carlo territory-area variant: the disputed fraction of the area
-    covered by at least one territory, sampled uniformly over the padded
-    bounding box of the data."""
+    covered by at least one territory, sampled uniformly over the bounding
+    box of the data padded by a tenth of its width per side (0.1 on a flat
+    axis)."""
     if len(profiles) < 2:
         return 0.0
-    lo, hi = sampling_box(data.points)
+    lo, hi = data.points.min(axis=0), data.points.max(axis=0)
+    pad = np.where(hi > lo, 0.1 * (hi - lo), 0.1)
     rng = np.random.default_rng(seed)
-    samples = rng.uniform(lo, hi, size=(int(mc_samples), data.points.shape[1]))
+    samples = rng.uniform(lo - pad, hi + pad, size=(int(mc_samples), data.points.shape[1]))
     values = np.column_stack([log_density_many(p.model, samples) for p in profiles])
     hits = territory_membership(values, [p.territory for p in profiles]).sum(axis=1)
     in_any = int((hits >= 1).sum())
@@ -353,10 +348,10 @@ def similarity_v3(profiles, n_total, center="mean", metric="abs", normalize=Fals
     the result to [0, 1]; the raw value is otherwise unbounded.  Clusters are
     weighted by size (the result is the grand mean over points).
     """
-    if center not in ("mean", "median"):
-        raise ValueError(f"center must be 'mean' or 'median', got {center!r}")
-    if metric not in ("abs", "squared"):
-        raise ValueError(f"metric must be 'abs' or 'squared', got {metric!r}")
+    if center not in S_V3_CENTERS:
+        raise ValueError(f"center must be one of {S_V3_CENTERS}, got {center!r}")
+    if metric not in S_V3_METRICS:
+        raise ValueError(f"metric must be one of {S_V3_METRICS}, got {metric!r}")
     contributions = []
     for profile in profiles:
         g = profile.g

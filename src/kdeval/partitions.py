@@ -6,6 +6,7 @@ linkages.  All partitions are canonicalized (cluster ids renumbered by first
 occurrence) so equality up to relabeling is a plain array comparison.
 """
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -311,8 +312,6 @@ def build_candidates(data, k_range, seed, generators=GENERATORS):
 def save_partitions(directory, partitions):
     """Write each partition as one label per line plus a manifest.csv with
     (file, source, k) rows."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     rows = []
     for i, part in enumerate(partitions):
@@ -330,8 +329,6 @@ def save_partitions(directory, partitions):
 def load_partitions(directory):
     """Read a partition directory written by save_partitions (or any directory
     of one-label-per-line text files; sources then default to the file name)."""
-    import os
-
     manifest = os.path.join(directory, "manifest.csv")
     out = []
     if os.path.exists(manifest):

@@ -282,7 +282,8 @@ def test_profile_cache_keeps_reports_bit_identical(seed, n, d, coincident, k_max
     assert "report.csv" in cached and "summary.txt" in cached
 
 
-def test_one_bandwidth_choice_per_distinct_cluster(monkeypatch, tmp_path):
+def _count_bandwidth_choices(monkeypatch):
+    """Record the points of every choose_bandwidth call that kdi makes."""
     calls = []
 
     def counting(points, spec=None):
@@ -290,13 +291,18 @@ def test_one_bandwidth_choice_per_distinct_cluster(monkeypatch, tmp_path):
         return choose_bandwidth(points, spec)
 
     monkeypatch.setattr(kdi, "choose_bandwidth", counting)
+    return calls
+
+
+def _member_sets(candidates):
+    return [np.flatnonzero(part.labels == q).tobytes() for part in candidates for q in range(part.K)]
+
+
+def test_one_bandwidth_choice_per_distinct_cluster(monkeypatch, tmp_path):
+    calls = _count_bandwidth_choices(monkeypatch)
     ds = make_blobs(3, 20, [(0, 0), (6, 0), (0, 6)], sigma=0.8, seed=3)
     report = evaluate_dataset(build_run_config(seed=2, k_min=2, k_max=5), ds)
-    clusters = [
-        np.flatnonzero(part.labels == q).tobytes()
-        for part in report.candidates
-        for q in range(part.K)
-    ]
+    clusters = _member_sets(report.candidates)
     distinct = len(set(clusters))
     assert len(calls) == len(set(calls)) == distinct < len(clusters)
     assert report.runtime["profile_fits"] == distinct
@@ -305,6 +311,16 @@ def test_one_bandwidth_choice_per_distinct_cluster(monkeypatch, tmp_path):
     lines = (tmp_path / "runtime.txt").read_text().splitlines()
     assert f"profile_fits: {distinct}" in lines
     assert f"profile_cache_hits: {len(clusters) - distinct}" in lines
+
+
+def test_calibrate_fits_each_distinct_cluster_once_across_alphas(monkeypatch):
+    calls = _count_bandwidth_choices(monkeypatch)
+    ds = make_blobs(3, 15, [(0, 0), (5, 0), (0, 5)], sigma=0.9, seed=4, id="t")
+    config = build_run_config(seed=3, k_min=2, k_max=4)
+    calibrate(config, [ds])
+    distinct = set(_member_sets(harness._candidates(config, ds)))
+    assert len(harness.CALIBRATION_ALPHAS) > 1  # every alpha after the first reads the cache
+    assert len(calls) == len(set(calls)) == len(distinct)
 
 
 def test_calibrate_same_with_and_without_profile_cache(monkeypatch, tmp_path):
@@ -494,6 +510,30 @@ def test_cli_bench_keeps_going_past_a_bad_dataset(tmp_path, capsys):
     assert "accuracy aggregation skipped" in capsys.readouterr().err
 
 
+def test_cli_bench_skips_a_repeated_dataset_id(tmp_path, capsys):
+    def bench(directory, out):
+        return cli.main(["bench", str(directory), "--label-column", "-1", "--k-min", "2",
+                         "--k-max", "3", "--seed", "1", "--out", str(out)])
+
+    data, alone = tmp_path / "data", tmp_path / "alone"
+    data.mkdir()
+    alone.mkdir()
+    for directory in (data, alone):
+        save_dataset_csv(make_blobs(2, 8, [(0, 0), (8, 8)], 0.5, seed=6), directory / "a.csv")
+    save_dataset_csv(make_blobs(2, 8, [(0, 0), (8, 8)], 0.5, seed=7), data / "a.data")
+    (data / "a.data").write_text((data / "a.data").read_text().replace(",", " "))
+    assert bench(data, tmp_path / "both") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {data / 'a.data'}: ") and str(data / "a.csv") in err
+    assert (tmp_path / "both" / "grid.csv").read_text().splitlines()[0] == "index,a"
+    # <out>/a holds the report of a.csv, the first file with that id
+    assert bench(alone, tmp_path / "one") == 0
+    for name in ("report.csv", "summary.txt"):
+        assert (tmp_path / "both" / "a" / name).read_bytes() == (
+            tmp_path / "one" / "a" / name
+        ).read_bytes()
+
+
 def test_variant_columns_and_boundary_mix():
     ds = _easy_dataset()
     config = build_run_config(
@@ -598,6 +638,22 @@ def test_cli_error_taxonomy(tmp_path, capsys):
     missing = str(tmp_path / "missing.ini")
     assert cli.main(["evaluate", str(unlabeled), "--seed", "1", "--config", missing,
                      "--out", out]) == 1
+    # so are a negative seed and an unknown similarity_v3 center or metric,
+    # with or without --variants
+    for flags, text in (
+        (["--seed", "-1"], ""),
+        (["--seed", "1"], "[kdi]\nseed = -1\n"),
+        ([], "[run]\nseed = -1\n"),
+        (["--seed", "1"], "[kdi]\ns_v3_center = mode\n"),
+        (["--seed", "1", "--variants"], "[kdi]\ns_v3_center = mode\n"),
+        (["--seed", "1"], "[kdi]\ns_v3_metric = cubed\n"),
+    ):
+        ini = tmp_path / "case.ini"
+        ini.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["evaluate", str(unlabeled), "--config", str(ini), "--out", out]
+                        + flags) == 1, (flags, text)
+        assert capsys.readouterr().err.startswith("usage error"), (flags, text)
     # a bad bandwidth grid is rejected when the config is built
     for grid in ("1.0, 0.5", "-1"):
         bad_grid = tmp_path / "grid.ini"

@@ -349,7 +349,6 @@ def test_sv3_all_equal_zero_dispersion():
 
 def test_sv3_two_point_hand_value():
     profile = ClusterDensityProfile(
-        label=0,
         member_indices=np.array([0, 1]),
         model=None,
         g=np.array([0.0, 2.0]),
@@ -501,23 +500,6 @@ def test_pairwise_ambiguous_matches_pair_loop():
             np.testing.assert_array_equal(got, _pairwise_by_definition(ds, profiles, pair_local))
     # the far blobs' territories claim no shared point
     assert not pairwise_ambiguous(ds, profiles, pair_local=False).any()
-
-
-def test_retarget_matches_fit_profiles_bit_for_bit():
-    from kdeval.harness import CALIBRATION_ALPHAS
-
-    ds = make_blobs(3, 12, [(0, 0), (3, 0), (0, 3)], sigma=0.8, seed=2)
-    part = canonicalize(ds.reference_labels)
-    base = KdiParams(beta1=0.7, beta2=1.3, seed=0)
-    profiles = fit_profiles(ds, part, base, bw_spec=SPEC)
-    for alpha in CALIBRATION_ALPHAS:
-        swept = dataclasses.replace(base, alpha1=alpha, alpha2=alpha)
-        direct = fit_profiles(ds, part, swept, bw_spec=SPEC)
-        moved = kdi.retarget(profiles, swept)
-        assert [p.territory for p in moved] == [p.territory for p in direct]
-        assert ambiguous_index(ds, moved)[0] == ambiguous_index(ds, direct)[0]
-        for a, b in zip(moved, profiles):
-            assert a.g is b.g and a.log_column is b.log_column
 
 
 def test_similarity_family_matches_definition():

@@ -1,0 +1,121 @@
+"""Property tests: the public surface, relabelling invariance of every index
+variant, and the range of the scores on degenerate inputs."""
+
+import itertools
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import kdeval
+from kdeval.config import build_run_config
+from kdeval.data_io import Dataset
+from kdeval.density import DEFAULT_FOLDS
+from kdeval.harness import evaluate_dataset
+from kdeval.kdi import AMBIGUOUS, SIMILARITY, KdiParams, fit_profiles, kdi_index
+from kdeval.partitions import Partition, canonicalize
+
+from _fixtures import random_dataset
+
+VARIANT_PAIRS = list(itertools.product(AMBIGUOUS, SIMILARITY))
+KDI_COLUMNS = ("new", "new_ia", "new_is", "new_ib", "new3",
+               "ia_v1", "ia_v2", "ia_v3", "is_v1", "is_v2", "is_v3")
+
+
+def test_public_surface_resolves():
+    assert len(set(kdeval.__all__)) == len(kdeval.__all__)
+    for name in kdeval.__all__:
+        assert hasattr(kdeval, name), name
+    namespace = {}
+    exec("from kdeval import *", namespace)
+    assert set(kdeval.__all__) <= set(namespace)
+
+
+def _scores(data, partition, seed):
+    """Every variant pair's KdiScore, from one fit of the partition."""
+    base = KdiParams(mc_samples=500, seed=seed)
+    profiles = fit_profiles(data, partition, base)
+    out = {}
+    for a, s in VARIANT_PAIRS:
+        params = KdiParams(ambiguous_variant=a, similarity_variant=s, mc_samples=500, seed=seed)
+        out[a, s] = kdi_index(data, partition, params, profiles=profiles)
+    return out
+
+
+def _bits(score):
+    return tuple(float(v).hex() for v in (score.I, score.I_a, score.I_s, score.I_b))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), k=st.integers(2, 4), draw=st.data())
+def test_scores_bit_identical_under_relabelling(seed, k, draw):
+    rng = np.random.default_rng(seed)
+    ds, labels = random_dataset(rng, k=k)
+    part = canonicalize(labels)
+    perm = np.array(draw.draw(st.permutations(range(part.K))))
+    relabelled = Partition(labels=perm[part.labels], K=part.K, source="relabelled")
+    direct = _scores(ds, part, seed)
+    for pair, score in _scores(ds, relabelled, seed).items():
+        assert _bits(score) == _bits(direct[pair]), pair
+
+
+@st.composite
+def degenerate_inputs(draw):
+    """(kind, dataset, partition) for one of four degenerate input shapes."""
+    kind = draw(st.sampled_from(("identical", "n_below_folds", "one_dim", "k_above_distinct")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    k_min = 1
+    if kind == "identical":
+        n, d = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+        points = np.broadcast_to(rng.uniform(-5.0, 5.0, d), (n, d))
+    elif kind == "n_below_folds":
+        points = rng.standard_normal((draw(st.integers(2, DEFAULT_FOLDS - 1)), 2))
+    elif kind == "one_dim":
+        n = draw(st.integers(4, 30))
+        points = rng.standard_normal((n, 1)) + 6.0 * rng.integers(0, 2, (n, 1))
+    else:
+        distinct = draw(st.integers(1, 3))
+        points = np.repeat(rng.standard_normal((distinct, 2)), draw(st.integers(2, 4)), axis=0)
+        k_min = distinct + 1
+    n = points.shape[0]
+    k = draw(st.integers(min(k_min, n), n))
+    labels = list(range(k)) + draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = draw(st.permutations(labels))
+    return kind, Dataset(points, id=kind), canonicalize(labels)
+
+
+def _in_unit_interval(value):
+    return not math.isnan(value) and 0.0 <= value <= 1.0
+
+
+# three locations, four points each, one cluster: every member likelihood is
+# equal, and their sum over the maximum rounds to a few ulps above 12
+REPEATED = Dataset(np.repeat([[0.0, 0.0], [4.0, 4.0], [0.0, 4.0]], 4, axis=0), id="repeated")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=degenerate_inputs())
+@example(case=("repeated", REPEATED, canonicalize([0] * 12)))
+def test_degenerate_inputs_score_in_unit_interval(case):
+    kind, ds, part = case
+    for pair, score in _scores(ds, part, seed=3).items():
+        for value in (score.I, score.I_a, score.I_s, score.I_b):
+            assert _in_unit_interval(value), (kind, pair, score)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(case=degenerate_inputs())
+def test_degenerate_inputs_through_every_generator(case):
+    # baselines may be undefined (None, with a warning), never nan; the KDI
+    # columns always lie in [0, 1]
+    kind, ds, _part = case
+    config = build_run_config(seed=3, k_min=1, k_max=ds.n, include_variants=True,
+                              boundary_mix_weight=0.3)
+    report = evaluate_dataset(config, ds)
+    for row in report.rows:
+        for column, value in row.scores.items():
+            if column in KDI_COLUMNS:
+                assert _in_unit_interval(value), (kind, row.source, column, value)
+            else:
+                assert value is None or math.isfinite(value), (kind, row.source, column, value)
