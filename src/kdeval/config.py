@@ -42,6 +42,8 @@ class RunConfig:
         unknown = set(self.indices) - {"ch", "sc", "db", "new"}
         if unknown:
             raise ValueError(f"unknown indices: {sorted(unknown)}")
+        if not self.generators:
+            raise ValueError("generators must name at least one generator")
         unknown = set(self.generators) - set(GENERATORS)
         if unknown:
             raise ValueError(f"unknown generators: {sorted(unknown)}")

@@ -20,14 +20,11 @@ GRID_SPAN = (0.01, 10.0)
 DEFAULT_FOLDS = 5
 MEDIAN_SUBSAMPLE = 500
 
-# Query rows per kernel block: bounds the (rows, m) temporaries.  Each row's
-# value depends on that row alone, so blocking is bit-exact.
-QUERY_BLOCK = 2048
-
-# Elements per CV kernel block: bounds the (bandwidths, held, train) temporaries
-# of one fold.  Each bandwidth's values depend on that bandwidth alone, so
-# chunking the grid is bit-exact.
-CV_BLOCK = 65536
+# Elements per kernel temporary: _log_kde splits its queries into row blocks and
+# each block's bandwidths into chunks so that no (bandwidths, rows, m) temporary
+# exceeds it (unless m alone does).  Each value depends on its own query row and
+# bandwidth alone, so the split is bit-exact.
+KERNEL_BLOCK = 65536
 
 # Guard for held-out points whose log-density is non-finite; cannot trigger
 # with log-sum-exp on finite inputs but bounds the CV objective regardless.
@@ -87,31 +84,37 @@ def fit_kde(points, h):
     return DensityModel(training_points=pts, bandwidth=h)
 
 
-def _log_kde(sq, hs, d):
-    """(len(hs), rows) log KDE densities of each row of a (rows, m) block of
-    squared distances to the m training points, for each bandwidth in hs, in
-    dimension d.  The one kernel; one logsumexp call covers every bandwidth.
+def _log_kde(queries, points, hs):
+    """(len(hs), rows) log KDE densities at each (rows, d) query row of the
+    Gaussian KDE on the (m, d) training points, for each bandwidth in hs.  The
+    one kernel, in KERNEL_BLOCK-bounded blocks.
 
     log f(x) = logsumexp_i(-|x - x_i|^2 / 2h^2) - log m - d*log h - (d/2)*log 2pi
     """
+    m, d = points.shape
     hs = np.asarray(hs, dtype=np.float64)[:, None]
-    norm = np.log(sq.shape[1]) + d * np.log(hs) + 0.5 * d * LOG_2PI
-    return logsumexp(-sq / (2.0 * hs * hs)[:, :, None], axis=2) - norm
+    norm = np.log(m) + d * np.log(hs) + 0.5 * d * LOG_2PI
+    out = np.empty((hs.shape[0], queries.shape[0]))
+    rows = max(1, KERNEL_BLOCK // m)
+    for r in range(0, queries.shape[0], rows):
+        sq = cdist(queries[r : r + rows], points, "sqeuclidean")
+        chunk = max(1, KERNEL_BLOCK // sq.size)
+        for c in range(0, hs.shape[0], chunk):
+            h = hs[c : c + chunk]
+            out[c : c + chunk, r : r + rows] = (
+                logsumexp(-sq / (2.0 * h * h)[:, :, None], axis=2) - norm[c : c + chunk]
+            )
+    return out
 
 
 def log_density_many(model, queries):
-    """Log KDE density at each query row (see _log_kde), in QUERY_BLOCK row blocks."""
+    """Log KDE density at each query row (see _log_kde)."""
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim == 1:
         q = q.reshape(-1, 1) if model.d == 1 else q.reshape(1, -1)
     if q.shape[1] != model.d:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
-    out = np.empty(q.shape[0])
-    for start in range(0, q.shape[0], QUERY_BLOCK):
-        rows = slice(start, start + QUERY_BLOCK)
-        sq = cdist(q[rows], model.training_points, "sqeuclidean")
-        out[rows] = _log_kde(sq, (model.bandwidth,), model.d)[0]
-    return out
+    return _log_kde(q, model.training_points, (model.bandwidth,))[0]
 
 
 def log_density(model, x):
@@ -122,20 +125,13 @@ def log_density(model, x):
 
 def _cv_scores(pts, spec):
     """CV score of each value of spec.grid: the mean over folds of the summed
-    held-out log-densities.  Folds are a seeded shuffle of the points; each
-    fold's held-out x training distances are computed once for the whole grid,
-    and the kernel runs on CV_BLOCK-bounded chunks of the grid."""
-    m, d = pts.shape
-    folds = np.array_split(np.random.default_rng(spec.seed).permutation(m), spec.folds)
+    held-out log-densities.  Folds are a seeded shuffle of the points; one
+    kernel call per fold covers the whole grid."""
+    folds = np.array_split(np.random.default_rng(spec.seed).permutation(pts.shape[0]), spec.folds)
     sums = np.empty((len(spec.grid), spec.folds))
     for f, held in enumerate(folds):
-        sq = cdist(pts[held], np.delete(pts, held, axis=0), "sqeuclidean")
-        chunk = max(1, CV_BLOCK // sq.size)
-        for start in range(0, len(spec.grid), chunk):
-            ll = _log_kde(sq, spec.grid[start : start + chunk], d)
-            sums[start : start + chunk, f] = np.where(
-                np.isfinite(ll), ll, UNDERFLOW_PENALTY
-            ).sum(axis=1)
+        ll = _log_kde(pts[held], np.delete(pts, held, axis=0), spec.grid)
+        sums[:, f] = np.where(np.isfinite(ll), ll, UNDERFLOW_PENALTY).sum(axis=1)
     return sums.mean(axis=1)
 
 

@@ -24,14 +24,7 @@ from .baselines import (
     silhouette,
 )
 from .config import config_snapshot, save_params_config
-from .kdi import (
-    AMBIGUOUS,
-    SIMILARITY,
-    ambiguous_index,
-    fit_profiles,
-    kdi_index,
-    similarity_index,
-)
+from .kdi import AMBIGUOUS, SIMILARITY, fit_profiles, kdi_index
 from .partitions import build_candidates, save_partitions
 from .svgplot import emit_svg
 
@@ -352,7 +345,8 @@ def write_accuracy(table, out_dir):
 
 def calibrate(config, training_datasets, out_path=None):
     """Grid-search delta and alpha1=alpha2 on labeled training datasets,
-    maximizing the success count of the main index.
+    maximizing the success count of the index with the configured ambiguous
+    and similarity variants.
 
     Ties prefer delta closest to 0.5, then the smaller alpha.  The winning
     KdiParams are returned and, when out_path is given, written as a config
@@ -374,8 +368,8 @@ def calibrate(config, training_datasets, out_path=None):
             profiles = [
                 fit_profiles(ds, part, swept, config.bw_spec(), cache=cache) for part in candidates
             ]
-            i_a = [ambiguous_index(ds, prof)[0] for prof in profiles]
-            i_s = [similarity_index(prof, ds.n, base.min_cluster_size)[0] for prof in profiles]
+            i_a = [AMBIGUOUS[base.ambiguous_variant](ds, prof, swept) for prof in profiles]
+            i_s = [SIMILARITY[base.similarity_variant](ds, prof, swept) for prof in profiles]
             for delta in CALIBRATION_DELTAS:
                 entries = [
                     (delta * ia + (1.0 - delta) * is_, part.K, part.source)

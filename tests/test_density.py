@@ -6,9 +6,8 @@ from scipy.integrate import trapezoid
 
 from kdeval import density
 from kdeval.density import (
-    CV_BLOCK,
     GRID_SIZE,
-    QUERY_BLOCK,
+    KERNEL_BLOCK,
     UNDERFLOW_PENALTY,
     BandwidthSearchSpec,
     _cv_scores,
@@ -183,13 +182,18 @@ def test_cv_scores_match_per_fold_fit_kde_loop():
     coincident = np.vstack([np.zeros((12, 2)), rng.standard_normal((3, 2))])
     cases.append((coincident, BandwidthSearchSpec((0.05, 0.5, 1.0, 3.0), 5, 2)))
     cases.append((np.zeros((10, 2)), BandwidthSearchSpec((0.5, 1.0, 2.0), 5, 3)))
-    # 5-fold blocks of 80 x 320 and 140 x 560 distances split the grid into
-    # several CV_BLOCK chunks and into one bandwidth per chunk; 8 x 32 fits
-    # the whole grid in one chunk
-    assert 1 < CV_BLOCK // (80 * 320) < GRID_SIZE
-    assert CV_BLOCK // (140 * 560) == 0
-    assert CV_BLOCK // (8 * 32) >= GRID_SIZE
-    for m, d in ((400, 2), (700, 1), (40, 3)):
+    # 5-fold blocks of held x training distances: 80 x 320 is one row block
+    # whose grid splits into several chunks; 8 x 32 fits the whole grid in one
+    # chunk; 140 x 560 and 200 x 800 exceed KERNEL_BLOCK, so their rows split,
+    # and within one call the full row blocks take one bandwidth per chunk and
+    # the short last block several
+    assert 1 < KERNEL_BLOCK // (80 * 320) < GRID_SIZE
+    assert KERNEL_BLOCK // (8 * 32) >= GRID_SIZE
+    for held, train in ((140, 560), (200, 800)):
+        rows = KERNEL_BLOCK // train
+        assert held * train > KERNEL_BLOCK and KERNEL_BLOCK // (rows * train) == 1
+        assert 1 < KERNEL_BLOCK // (held % rows * train) < GRID_SIZE
+    for m, d in ((400, 2), (700, 1), (40, 3), (1000, 2)):
         pts = rng.standard_normal((m, d))
         cases.append((pts, auto_search_spec(pts, folds=5, seed=m)))
     for pts, spec in cases:
@@ -256,11 +260,31 @@ def test_auto_spec_degenerate_scale():
 def test_log_density_many_row_blocks_are_bit_exact():
     rng = np.random.default_rng(8)
     model = fit_kde(rng.standard_normal((45, 3)), 0.6)
-    queries = 2.0 * rng.standard_normal((2 * QUERY_BLOCK + 3, 3))
+    n = 2 * (KERNEL_BLOCK // 45) + 3  # two full row blocks and a short one
+    queries = 2.0 * rng.standard_normal((n, 3))
     whole = log_density_many(model, queries)
     rows = np.concatenate([log_density_many(model, q[None, :]) for q in queries])
-    assert whole.shape == (2 * QUERY_BLOCK + 3,)
+    assert whole.shape == (n,)
     assert np.array_equal(whole, rows)
+
+
+def test_kernel_temporaries_stay_within_kernel_block(monkeypatch):
+    sizes = []
+    logsumexp = density.logsumexp
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return logsumexp(a, *args, **kwargs)
+
+    monkeypatch.setattr(density, "logsumexp", recording)
+    rng = np.random.default_rng(14)
+    model = fit_kde(rng.standard_normal((450, 2)), 0.3)
+    assert log_density_many(model, rng.standard_normal((20000, 2))).shape == (20000,)
+    assert len(sizes) > 1 and max(sizes) <= KERNEL_BLOCK
+    sizes.clear()
+    pts = rng.standard_normal((700, 2))
+    _cv_scores(pts, auto_search_spec(pts))
+    assert len(sizes) > 1 and max(sizes) <= KERNEL_BLOCK
 
 
 def test_oracle_equivalence_batch():

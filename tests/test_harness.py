@@ -336,6 +336,25 @@ def test_calibrate_same_with_and_without_profile_cache(monkeypatch, tmp_path):
     assert (tmp_path / "cached.ini").read_bytes() == (tmp_path / "uncached.ini").read_bytes()
 
 
+def test_calibrate_scores_the_configured_variants(monkeypatch):
+    calls = []
+    for name in ("ambiguous_v1", "similarity_v2", "ambiguous_index", "similarity_index"):
+        def spy(*args, _fn=getattr(kdi, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(kdi, name, spy)
+    ds = make_blobs(3, 15, [(0, 0), (5, 0), (0, 5)], sigma=0.9, seed=4, id="t")
+    config = build_run_config(
+        seed=3, k_min=2, k_max=3, ambiguous_variant="v1", similarity_variant="v2"
+    )
+    best = calibrate(config, [ds])
+    scored = len(harness.CALIBRATION_ALPHAS) * len(harness._candidates(config, ds))
+    assert calls.count("ambiguous_v1") == calls.count("similarity_v2") == scored
+    assert "ambiguous_index" not in calls and "similarity_index" not in calls
+    assert (best.ambiguous_variant, best.similarity_variant) == ("v1", "v2")
+
+
 def test_calibrate_empty_training_list_is_error():
     config = build_run_config(seed=5)
     with pytest.raises(ValueError):
@@ -638,8 +657,8 @@ def test_cli_error_taxonomy(tmp_path, capsys):
     missing = str(tmp_path / "missing.ini")
     assert cli.main(["evaluate", str(unlabeled), "--seed", "1", "--config", missing,
                      "--out", out]) == 1
-    # so are a negative seed and an unknown similarity_v3 center or metric,
-    # with or without --variants
+    # so are a negative seed, an unknown similarity_v3 center or metric (with
+    # or without --variants) and an empty generator list
     for flags, text in (
         (["--seed", "-1"], ""),
         (["--seed", "1"], "[kdi]\nseed = -1\n"),
@@ -647,6 +666,7 @@ def test_cli_error_taxonomy(tmp_path, capsys):
         (["--seed", "1"], "[kdi]\ns_v3_center = mode\n"),
         (["--seed", "1", "--variants"], "[kdi]\ns_v3_center = mode\n"),
         (["--seed", "1"], "[kdi]\ns_v3_metric = cubed\n"),
+        (["--seed", "1"], "[run]\ngenerators =\n"),
     ):
         ini = tmp_path / "case.ini"
         ini.write_text(text)
