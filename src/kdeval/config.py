@@ -39,6 +39,8 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.k_min < 1 or self.k_max < self.k_min:
             raise ValueError(f"bad k range [{self.k_min}, {self.k_max}]")
+        if not self.indices:
+            raise ValueError("indices must name at least one index")
         unknown = set(self.indices) - {"ch", "sc", "db", "new"}
         if unknown:
             raise ValueError(f"unknown indices: {sorted(unknown)}")

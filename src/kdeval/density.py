@@ -1,16 +1,17 @@
 """Per-cluster Gaussian kernel density estimation.
 
 Densities are evaluated in log space via log-sum-exp, so queries far from the
-training points still get a finite log-density.  Bandwidths come from a
-cross-validated grid search, with a Scott-style fallback for clusters too
-small to cross-validate.
+training points still get a finite log-density.  The log-sum-exp is the
+package's own (_logsumexp_last): scipy 1.17's algorithm in one buffer, giving
+the bits of scipy.special.logsumexp at that version whatever scipy is
+installed.  Bandwidths come from a cross-validated grid search, with a
+Scott-style fallback for clusters too small to cross-validate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
-from scipy.special import logsumexp
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -84,6 +85,29 @@ def fit_kde(points, h):
     return DensityModel(training_points=pts, bandwidth=h)
 
 
+def _logsumexp_last(sq, c):
+    """logsumexp(-sq / c[:, :, None], axis=2) for a (rows, m) block sq and a
+    (k, 1) column c, as a (k, rows) array with scipy.special.logsumexp's bits.
+
+    scipy 1.17's algorithm in one buffer: each row's maxima are counted (n)
+    and left out of the shifted sum s, giving log1p(s / n) + log(n) + max.
+    scipy's fallback for non-finite results, log(sum(exp(a))), is left out:
+    with sq >= 0 and c >= 0 a result is non-finite only when the row's max is
+    -inf or nan, and the fallback then gives the same -inf or nan.
+    """
+    with np.errstate(all="ignore"):
+        a = np.divide(sq, -c[:, :, None])
+        a_max = a.max(axis=2, keepdims=True)
+        mask = a == a_max
+        n = mask.sum(axis=2, keepdims=True, dtype=np.float64)
+        a -= a_max
+        np.exp(a, out=a)
+        np.copyto(a, 0.0, where=mask)
+        s = a.sum(axis=2, keepdims=True)
+        np.divide(s, n, out=s, where=s != 0)
+        return (np.log1p(s) + np.log(n) + a_max)[:, :, 0]
+
+
 def _log_kde(queries, points, hs):
     """(len(hs), rows) log KDE densities at each (rows, d) query row of the
     Gaussian KDE on the (m, d) training points, for each bandwidth in hs.  The
@@ -102,7 +126,7 @@ def _log_kde(queries, points, hs):
         for c in range(0, hs.shape[0], chunk):
             h = hs[c : c + chunk]
             out[c : c + chunk, r : r + rows] = (
-                logsumexp(-sq / (2.0 * h * h)[:, :, None], axis=2) - norm[c : c + chunk]
+                _logsumexp_last(sq, 2.0 * h * h) - norm[c : c + chunk]
             )
     return out
 

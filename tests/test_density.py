@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
 from kdeval import density
 from kdeval.density import (
@@ -270,13 +272,13 @@ def test_log_density_many_row_blocks_are_bit_exact():
 
 def test_kernel_temporaries_stay_within_kernel_block(monkeypatch):
     sizes = []
-    logsumexp = density.logsumexp
+    logsumexp_last = density._logsumexp_last
 
-    def recording(a, *args, **kwargs):
-        sizes.append(np.size(a))
-        return logsumexp(a, *args, **kwargs)
+    def recording(sq, c):
+        sizes.append(np.size(sq) * np.size(c))
+        return logsumexp_last(sq, c)
 
-    monkeypatch.setattr(density, "logsumexp", recording)
+    monkeypatch.setattr(density, "_logsumexp_last", recording)
     rng = np.random.default_rng(14)
     model = fit_kde(rng.standard_normal((450, 2)), 0.3)
     assert log_density_many(model, rng.standard_normal((20000, 2))).shape == (20000,)
@@ -285,6 +287,35 @@ def test_kernel_temporaries_stay_within_kernel_block(monkeypatch):
     pts = rng.standard_normal((700, 2))
     _cv_scores(pts, auto_search_spec(pts))
     assert len(sizes) > 1 and max(sizes) <= KERNEL_BLOCK
+
+
+def test_logsumexp_last_matches_scipy_bit_for_bit():
+    assert not hasattr(density, "logsumexp")
+    rng = np.random.default_rng(19)
+    cases = [(1, 1, 1, 1.0, None), (1, 7, 1, 1.0, None), (3, 1, 40, 1.0, None)]
+    for d in range(1, 6):
+        for scale in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+            cases.append((d, int(rng.integers(1, 300)), int(rng.integers(1, 60)), scale, None))
+    for _ in range(100):
+        d, m, rows = (int(v) for v in rng.integers(1, (6, 300, 60)))
+        cases.append((d, m, rows, 10.0 ** rng.uniform(-4, 4), None))
+    cases += [(2, 50, 30, 1.0, 1e-170), (3, 80, 20, 1e2, 1e-300), (1, 1, 5, 1e-4, 1e-300)]
+    for d, m, rows, scale, tiny in cases:
+        pts = scale * rng.standard_normal((m, d))
+        queries = 1.5 * scale * rng.standard_normal((rows, d))
+        if rng.random() < 0.5:
+            pts[m // 2 :] = pts[: m - m // 2]  # coincident training points tie in the max
+            queries[: min(rows, m) : 2] = pts[: min(rows, m) : 2]  # queries on training points
+        sq = cdist(queries, pts, "sqeuclidean")
+        hs = scale * np.geomspace(0.01, 10.0, int(rng.integers(1, 21)))
+        if tiny is not None:
+            hs[0] = tiny  # 2h^2 underflows: scipy's non-finite fallback rows
+        c = 2.0 * hs[:, None] ** 2
+        with np.errstate(all="ignore"):
+            expected = logsumexp(-sq / c[:, :, None], axis=2)
+        got = density._logsumexp_last(sq, c)
+        assert got.shape == (len(hs), rows)
+        assert np.array_equal(got, expected, equal_nan=True), (d, m, rows, scale, tiny)
 
 
 def test_oracle_equivalence_batch():

@@ -658,7 +658,7 @@ def test_cli_error_taxonomy(tmp_path, capsys):
     assert cli.main(["evaluate", str(unlabeled), "--seed", "1", "--config", missing,
                      "--out", out]) == 1
     # so are a negative seed, an unknown similarity_v3 center or metric (with
-    # or without --variants) and an empty generator list
+    # or without --variants) and an empty generator or index list
     for flags, text in (
         (["--seed", "-1"], ""),
         (["--seed", "1"], "[kdi]\nseed = -1\n"),
@@ -667,6 +667,7 @@ def test_cli_error_taxonomy(tmp_path, capsys):
         (["--seed", "1", "--variants"], "[kdi]\ns_v3_center = mode\n"),
         (["--seed", "1"], "[kdi]\ns_v3_metric = cubed\n"),
         (["--seed", "1"], "[run]\ngenerators =\n"),
+        (["--seed", "1"], "[run]\nindices =\n"),
     ):
         ini = tmp_path / "case.ini"
         ini.write_text(text)
