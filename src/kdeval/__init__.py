@@ -52,7 +52,6 @@ from .kdi import (
     similarity_v1,
     similarity_v2,
     similarity_v3,
-    territory_contains,
 )
 from .partitions import (
     Partition,
@@ -117,7 +116,6 @@ __all__ = [
     "similarity_v1",
     "similarity_v2",
     "similarity_v3",
-    "territory_contains",
     "write_accuracy",
     "write_report",
 ]

@@ -70,18 +70,18 @@ def silhouette(data, partition):
 
     a is the mean distance to the sample's own cluster (excluding itself), b
     the smallest mean distance to another cluster.  Samples in singleton
-    clusters contribute 0, as do samples with a = b = 0.
+    clusters contribute 0, as do samples with a = b = 0.  Memory is one
+    (cluster size x n) distance block at a time.
     """
     X, labels, K = _check_inputs(data, partition)
     n = X.shape[0]
     if K < 2 or K > n - 1:
         raise UndefinedScoreError(f"silhouette needs 2 <= K <= n-1, got K={K}, n={n}")
-    dist = cdist(X, X)
     sizes = np.bincount(labels, minlength=K)
-    # summed distance from each sample to each cluster
-    cluster_sums = np.zeros((n, K))
-    for q in range(K):
-        cluster_sums[:, q] = dist[:, labels == q].sum(axis=1)
+    # per-sample distance sums to each cluster: axis 0, as the transpose sums in another order
+    cluster_sums = np.column_stack(
+        [cdist(members, X).sum(axis=0) for members in _cluster_members(X, labels, K)]
+    )
     rows = np.arange(n)
     own_size = sizes[labels]
     a = cluster_sums[rows, labels] / np.maximum(own_size - 1, 1)
@@ -100,11 +100,12 @@ def davies_bouldin(data, partition):
     X, labels, K = _check_inputs(data, partition)
     if K < 2:
         raise UndefinedScoreError(f"DB needs K >= 2, got K={K}")
-    centroids = np.array([members.mean(axis=0) for members in _cluster_members(X, labels, K)])
+    clusters = _cluster_members(X, labels, K)
+    centroids = np.array([members.mean(axis=0) for members in clusters])
     sigma = np.array(
         [
             float(np.linalg.norm(members - centroids[q], axis=1).mean())
-            for q, members in enumerate(_cluster_members(X, labels, K))
+            for q, members in enumerate(clusters)
         ]
     )
     centroid_dist = cdist(centroids, centroids)
@@ -123,14 +124,15 @@ def adjusted_rand_index(p, q):
 
     Symmetric, relabel-invariant, and 1.0 exactly when the groupings agree.
     """
-    a = np.asarray(p.labels if hasattr(p, "labels") else p, dtype=np.int64)
-    b = np.asarray(q.labels if hasattr(q, "labels") else q, dtype=np.int64)
+    a = np.asarray(p.labels if hasattr(p, "labels") else p)
+    b = np.asarray(q.labels if hasattr(q, "labels") else q)
     if a.shape != b.shape:
         raise ValueError(f"partition lengths differ: {a.shape} vs {b.shape}")
     n = a.shape[0]
-    ka = int(a.max()) + 1
-    kb = int(b.max()) + 1
-    table = np.zeros((ka, kb), dtype=np.int64)
+    # group ids 0..k-1 per side, so negative or float labels index the table safely
+    a_groups, a = np.unique(a, return_inverse=True)
+    b_groups, b = np.unique(b, return_inverse=True)
+    table = np.zeros((len(a_groups), len(b_groups)), dtype=np.int64)
     np.add.at(table, (a, b), 1)
 
     def pairs(x):

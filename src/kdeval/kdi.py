@@ -20,7 +20,6 @@ from .density import (
     BandwidthSearchSpec,
     choose_bandwidth,
     fit_kde,
-    log_density,
     log_density_many,
 )
 
@@ -167,13 +166,6 @@ def fit_profiles(data, partition, params, bw_spec=None, cache=None):
             )
         )
     return profiles
-
-
-def territory_contains(profile, y):
-    """True iff the query's log-likelihood under this cluster's estimator lies
-    in the (closed) territory interval."""
-    value = log_density(profile.model, y)
-    return bool(territory_membership(np.array([[value]]), [profile.territory])[0, 0])
 
 
 def cross_log_density(data, profiles):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from kdeval import baselines
 from kdeval.baselines import (
     UndefinedScoreError,
     adjusted_rand_index,
@@ -96,6 +97,25 @@ def test_silhouette_matches_direct_formula():
         assert -1.0 <= value <= 1.0
 
 
+def test_silhouette_reads_one_cluster_block_at_a_time(monkeypatch):
+    block_rows = []
+    cdist = baselines.cdist
+
+    def recording(xa, xb, *args, **kwargs):
+        block_rows.append(np.shape(xa)[0])
+        return cdist(xa, xb, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "cdist", recording)
+    rng = np.random.default_rng(8)
+    ds = Dataset(rng.standard_normal((120, 3)), id="blocks")
+    for k in (2, 5, 17):
+        block_rows.clear()
+        part = canonicalize(rng.integers(0, k, ds.n))
+        silhouette(ds, part)
+        assert sorted(block_rows) == sorted(np.bincount(part.labels).tolist())
+        assert ds.n not in block_rows
+
+
 def test_db_hand_value():
     assert davies_bouldin(PAIR_DATA, PAIR_PART).value == pytest.approx(0.1, abs=1e-12)
 
@@ -177,3 +197,14 @@ def test_ari_relabel_invariance_and_symmetry():
         assert adjusted_rand_index(canonicalize(b), canonicalize(a)) == pytest.approx(
             base, abs=1e-12
         )
+    # raw labels: negative ids are groups, not wrapped indices; floats are not truncated
+    assert adjusted_rand_index([0, 0, 1, 1], [-1, -1, 0, 0]) == 1.0
+    assert adjusted_rand_index([0, 0, 1, 1, 2, 2], [-1, -1, 0, 0, 1, 1]) == 1.0
+    assert adjusted_rand_index([5, 5, -3, -3], [0, 0, 1, 1]) == 1.0
+    assert adjusted_rand_index([0.2, 0.2, 0.7, 0.7], [1, 1, 0, 0]) == 1.0
+    a = [0, 0, 1, 1, 2, 2, 2, 0]
+    b = [1, 0, 1, 2, 2, 0, 0, 1]
+    base = adjusted_rand_index(a, b)
+    assert adjusted_rand_index([-7 + 2.5 * v for v in a], [-v for v in b]) == pytest.approx(
+        base, abs=1e-12
+    )

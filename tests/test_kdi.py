@@ -24,7 +24,6 @@ from kdeval.kdi import (
     similarity_v1,
     similarity_v2,
     similarity_v3,
-    territory_contains,
     territory_membership,
 )
 from kdeval.partitions import canonicalize
@@ -84,11 +83,18 @@ def test_profiles_match_definitional_oracle():
         assert profile.territory[1] == pytest.approx(ref["territory"][q][1], abs=1e-10)
 
 
+def _in_territory(profile, queries):
+    """Territory hits of arbitrary query points, the way ambiguous_v3 reads them."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    log_column = log_density_many(profile.model, queries)[:, None]
+    return territory_membership(log_column, [profile.territory])[:, 0]
+
+
 def test_territory_contains_min_member():
     ds = make_blobs(1, 20, [(0, 0)], sigma=1.0, seed=3)
     profile = _profiles(ds, [0] * 20)[0]
     weakest = ds.points[np.argmin(profile.g)]
-    assert territory_contains(profile, weakest)
+    assert _in_territory(profile, weakest).all()
 
 
 def test_every_member_inside_own_territory():
@@ -102,7 +108,7 @@ def test_territory_excludes_far_point():
     ds = make_blobs(2, 15, [(0, 0), (9, 0)], sigma=0.8, seed=4)
     far = np.array([1e6, 1e6])
     for profile in _profiles(ds, [0] * 15 + [1] * 15):
-        assert not territory_contains(profile, far)
+        assert not _in_territory(profile, far).any()
 
 
 def test_territory_excludes_ring_mode():
@@ -115,7 +121,7 @@ def test_territory_excludes_ring_mode():
         ds, canonicalize([0] * 100), params, bw_spec=BandwidthSearchSpec(grid=(1.0,), folds=2)
     )[0]
     assert profile.delta_g == pytest.approx(0.0, abs=1e-9)
-    assert not territory_contains(profile, [0.0, 0.0])
+    assert not _in_territory(profile, [0.0, 0.0]).any()
 
 
 def test_ambiguous_single_cluster_is_zero():
