@@ -2,7 +2,7 @@
 
 Densities are evaluated in log space via log-sum-exp, so queries far from the
 training points still get a finite log-density.  The log-sum-exp is the
-package's own (_logsumexp_last): scipy 1.17's algorithm in one buffer, giving
+package's own (_logsumexp, which EM also uses): scipy 1.17's algorithm, giving
 the bits of scipy.special.logsumexp at that version whatever scipy is
 installed.  Bandwidths come from a cross-validated grid search, with a
 Scott-style fallback for clusters too small to cross-validate.
@@ -85,27 +85,29 @@ def fit_kde(points, h):
     return DensityModel(training_points=pts, bandwidth=h)
 
 
-def _logsumexp_last(sq, c):
-    """logsumexp(-sq / c[:, :, None], axis=2) for a (rows, m) block sq and a
-    (k, 1) column c, as a (k, rows) array with scipy.special.logsumexp's bits.
-
-    scipy 1.17's algorithm in one buffer: each row's maxima are counted (n)
-    and left out of the shifted sum s, giving log1p(s / n) + log(n) + max.
-    scipy's fallback for non-finite results, log(sum(exp(a))), is left out:
-    with sq >= 0 and c >= 0 a result is non-finite only when the row's max is
-    -inf or nan, and the fallback then gives the same -inf or nan.
-    """
+def _logsumexp(a, overwrite_a=False):
+    """logsumexp(a, axis=-1) with scipy.special.logsumexp's bits; overwrite_a
+    reuses a's buffer.  scipy 1.17's algorithm: each row's maxima are counted
+    (n) and left out of the shifted sum s, giving log1p(s / n) + log(n) + max.
+    scipy's fallback for non-finite results, log(sum(exp(a))), is left out: a
+    result is non-finite only when the row's max is -inf, +inf or nan, and the
+    fallback then gives the same -inf, +inf or nan."""
     with np.errstate(all="ignore"):
-        a = np.divide(sq, -c[:, :, None])
-        a_max = a.max(axis=2, keepdims=True)
+        a_max = a.max(axis=-1, keepdims=True)
         mask = a == a_max
-        n = mask.sum(axis=2, keepdims=True, dtype=np.float64)
-        a -= a_max
-        np.exp(a, out=a)
-        np.copyto(a, 0.0, where=mask)
-        s = a.sum(axis=2, keepdims=True)
+        n = mask.sum(axis=-1, keepdims=True, dtype=np.float64)
+        e = np.subtract(a, a_max, out=a if overwrite_a else None)
+        np.exp(e, out=e)
+        np.copyto(e, 0.0, where=mask)
+        s = e.sum(axis=-1, keepdims=True)
         np.divide(s, n, out=s, where=s != 0)
-        return (np.log1p(s) + np.log(n) + a_max)[:, :, 0]
+        return (np.log1p(s) + np.log(n) + a_max)[..., 0]
+
+
+def _logsumexp_last(sq, c):
+    """(k, rows) logsumexp(-sq / c[:, :, None], axis=2) of a (rows, m) block sq."""
+    with np.errstate(all="ignore"):
+        return _logsumexp(np.divide(sq, -c[:, :, None]), overwrite_a=True)
 
 
 def _log_kde(queries, points, hs):

@@ -14,10 +14,12 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import cdist
 
+from .density import _logsumexp
+
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
 EM_MAX_ITER = 200
-EM_TOL = 1e-6
+EM_TOL = 1e-3  # stop once the mean log-likelihood per sample gains less (scikit-learn's tol)
 EM_REG = 1e-6
 EM_MAX_RESTARTS = 5
 GMM_INITS = 4  # one k-means init plus random-mean inits, best log-likelihood kept
@@ -142,7 +144,7 @@ def _log_gaussians(X, means, chols):
     return np.ascontiguousarray((-0.5 * (maha + logdet[:, None] + d * np.log(2.0 * np.pi))).T)
 
 
-def _em_init(data, k, seed, kind):
+def _em_init(data, k, seed, kind, reg):
     X = data.points
     n, d = X.shape
     rng = np.random.default_rng(_derive_seed(seed, 1))
@@ -155,58 +157,53 @@ def _em_init(data, k, seed, kind):
             members = X[init.labels == j] if j < init.K else X[rng.integers(n)].reshape(1, -1)
             means[j] = members.mean(axis=0)
             diff = members - means[j]
-            covs[j] = diff.T @ diff / members.shape[0] + EM_REG * np.eye(d)
+            covs[j] = diff.T @ diff / members.shape[0] + reg
             weights[j] = max(members.shape[0] / n, 1.0 / n)
         weights /= weights.sum()
     else:
         idx = rng.choice(n, size=k, replace=False)
         means[:] = X[idx]
         centered = X - X.mean(axis=0)
-        base = centered.T @ centered / n + EM_REG * np.eye(d)
-        covs[:] = base
+        covs[:] = centered.T @ centered / n + reg
     return means, covs, weights
 
 
 def _em_once(data, k, seed, init_kind="kmeans"):
     X = data.points
-    means, covs, weights = _em_init(data, k, seed, init_kind)
+    reg = EM_REG * np.eye(X.shape[1])
+    means, covs, weights = _em_init(data, k, seed, init_kind, reg)
     prev_ll = -np.inf
-    resp = None
-    ll = -np.inf
     for _ in range(EM_MAX_ITER):
         chols = np.linalg.cholesky(covs)
         log_prob = _log_gaussians(X, means, chols) + np.log(weights)
-        norm = _logsumexp_rows(log_prob)
+        norm = _logsumexp(log_prob)
         ll = float(norm.sum())
         resp = np.exp(log_prob - norm[:, None])
-        if ll - prev_ll < EM_TOL and np.isfinite(prev_ll):
+        if (ll - prev_ll) / X.shape[0] < EM_TOL:
             break
         prev_ll = ll
         nk = resp.sum(axis=0)
-        for j in range(k):
-            if nk[j] < 1e-12:
-                continue  # dead component keeps its parameters
-            means[j] = resp[:, j] @ X / nk[j]
-            diff = X - means[j]
-            covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j] + EM_REG * np.eye(X.shape[1])
+        live = np.flatnonzero(nk >= 1e-12)  # dead components keep their parameters
+        R = np.ascontiguousarray(resp.T[live])
+        nl = nk[live, None]
+        means[live] = R @ X / nl
+        diffs = X - means[live, None]
+        scatter = np.matmul((R[:, :, None] * diffs).transpose(0, 2, 1), diffs)
+        covs[live] = scatter / nl[:, :, None] + reg
         weights = np.maximum(nk, 1e-12)
         weights /= weights.sum()
     return resp.argmax(axis=1), ll
 
 
-# Not scipy's logsumexp: that differs in the last bit on some rows, which can move EM labels.
-def _logsumexp_rows(a):
-    m = a.max(axis=1)
-    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-
-
 def gmm_em(data, k, seed):
     """Full-covariance EM with hard assignment by maximum responsibility.
 
-    Runs GMM_INITS initializations (k-means first, then random means) and
-    keeps the solution with the best final log-likelihood.  Covariances are
-    regularized by EM_REG * I; a singular covariance despite regularization
-    triggers a reseeded retry, up to EM_MAX_RESTARTS extra attempts.
+    Runs GMM_INITS (4) initializations (k-means first, then random means) and
+    keeps the solution with the best final log-likelihood.  A run stops once
+    the mean log-likelihood per sample gains less than EM_TOL (1e-3) in an
+    iteration, or after EM_MAX_ITER (200).  Covariances are regularized by
+    EM_REG * I; a singular covariance despite regularization triggers a
+    reseeded retry, up to EM_MAX_RESTARTS extra attempts.
     """
     X = data.points
     if not 1 <= k <= X.shape[0]:

@@ -318,6 +318,27 @@ def test_logsumexp_last_matches_scipy_bit_for_bit():
         assert np.array_equal(got, expected, equal_nan=True), (d, m, rows, scale, tiny)
 
 
+def test_logsumexp_matches_scipy_on_em_shaped_arrays():
+    from kdeval import partitions
+
+    assert not hasattr(partitions, "_logsumexp_rows")
+    rng = np.random.default_rng(23)
+    for n, k in [(1, 1), (50, 1), (7, 2), (400, 4), (300, 30), (900, 12)]:
+        for _ in range(5):
+            a = rng.normal(-20.0, 15.0, (n, k))
+            if k > 1:
+                a[::3, 1] = a[::3, 0]  # tied maxima on some rows
+                a[::5] = a[::5, :1]  # rows where every entry ties
+            a[rng.random((n, k)) < 0.2] = np.log(1e-12)  # floored EM weights
+            a[rng.random((n, k)) < 0.1] = -np.inf
+            a[-1] = -np.inf  # a row with no finite entry
+            before = a.copy()
+            got = density._logsumexp(a)
+            assert np.array_equal(a, before)
+            assert got.shape == (n,)
+            assert np.array_equal(got, logsumexp(a, axis=1)), (n, k)
+
+
 def test_oracle_equivalence_batch():
     rng = np.random.default_rng(11)
     for _ in range(10):

@@ -4,6 +4,7 @@ import pytest
 from kdeval.baselines import adjusted_rand_index
 from kdeval.data_io import Dataset, make_blobs
 from kdeval.partitions import (
+    EM_MAX_ITER,
     GENERATORS,
     _log_gaussians,
     agglomerative,
@@ -15,7 +16,7 @@ from kdeval.partitions import (
     save_partitions,
 )
 
-from _fixtures import anisotropic_pair, two_chains
+from _fixtures import anisotropic_pair, four_blobs, two_chains
 from _oracles import average_linkage_labels
 
 
@@ -227,3 +228,45 @@ def test_log_gaussians_batched_solve_matches_per_component_loop():
             logdet = 2.0 * np.log(np.diag(chols[j])).sum()
             expected[:, j] = -0.5 * ((solved**2).sum(axis=0) + logdet + d * np.log(2.0 * np.pi))
         assert np.array_equal(_log_gaussians(X, means, chols), expected)
+
+
+def test_em_converges_before_the_iteration_cap(monkeypatch):
+    import kdeval.partitions as pmod
+
+    calls = []  # one _logsumexp call per EM iteration, one entry per EM run
+    logsumexp, em_once = pmod._logsumexp, pmod._em_once
+
+    def counting_em_once(*args, **kwargs):
+        calls.append(0)
+        return em_once(*args, **kwargs)
+
+    def counting_logsumexp(a):
+        calls[-1] += 1
+        return logsumexp(a)
+
+    monkeypatch.setattr(pmod, "_em_once", counting_em_once)
+    monkeypatch.setattr(pmod, "_logsumexp", counting_logsumexp)
+    ds = four_blobs()
+    for k in range(2, 9):
+        gmm_em(ds, k, seed=pmod._derive_seed(7, k))
+    assert len(calls) >= 7 * pmod.GMM_INITS
+    assert max(calls) < EM_MAX_ITER
+
+
+@pytest.mark.parametrize("kind", ["kmeans", "random"])
+def test_em_component_far_from_every_point_stays_dead(monkeypatch, kind):
+    import kdeval.partitions as pmod
+
+    em_init = pmod._em_init
+
+    def far_init(data, k, seed, kind, reg):
+        means, covs, weights = em_init(data, k, seed, kind, reg)
+        means[-1] = 1e6  # no point gets any responsibility from it
+        return means, covs, weights
+
+    monkeypatch.setattr(pmod, "_em_init", far_init)
+    ds = four_blobs()
+    with np.errstate(invalid="raise", divide="raise"):
+        labels, ll = pmod._em_once(ds, 4, seed=3, init_kind=kind)
+    assert np.isfinite(ll)
+    assert set(labels.tolist()) <= {0, 1, 2}
