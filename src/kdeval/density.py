@@ -8,9 +8,11 @@ installed.  Bandwidths come from a cross-validated grid search, with a
 Scott-style fallback for clusters too small to cross-validate.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -141,6 +143,31 @@ def log_density_many(model, queries):
     if q.shape[1] != model.d:
         raise ValueError(f"query dimension {q.shape[1]} != model dimension {model.d}")
     return _log_kde(q, model.training_points, (model.bandwidth,))[0]
+
+
+def _log_density_above(model, queries, floor):
+    """log_density_many(model, queries) at the query rows whose log-density can
+    reach floor, -inf at the others.  floor is a territory's lower end, so it
+    is at most top (below) and the radius is real.
+
+    A log-sum-exp of m terms is at most its largest term plus log m, which the
+    norm subtracts, so log f(x) <= top - dmin(x)^2 / 2h^2 with top = -d*log h
+    - (d/2)*log 2pi and dmin(x) the distance from x to the nearest training
+    point.  Rows beyond the radius where that bound meets floor - slack are
+    skipped.  Rounding moves the bound and the kernel's value by a few ulps of
+    |floor|, |top| and log m; a slack of 1 nat plus 1e-9 of |floor| + |top|
+    dwarfs that, so every skipped row's computed value is below floor too.
+    Kept rows keep their bits: each row depends on its own query alone.
+    """
+    pts = model.training_points
+    h, d = model.bandwidth, pts.shape[1]
+    top = -d * math.log(h) - 0.5 * d * LOG_2PI
+    reach = top - floor + 1.0 + 1e-9 * (abs(floor) + abs(top))
+    radius = h * math.sqrt(2.0 * reach)
+    keep = cKDTree(pts).query(queries, distance_upper_bound=radius)[0] < np.inf
+    out = np.full(queries.shape[0], -np.inf)
+    out[keep] = log_density_many(model, queries[keep])
+    return out
 
 
 def log_density(model, x):

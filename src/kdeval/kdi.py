@@ -18,6 +18,7 @@ import numpy as np
 
 from .density import (
     BandwidthSearchSpec,
+    _log_density_above,
     choose_bandwidth,
     fit_kde,
     log_density_many,
@@ -70,6 +71,8 @@ class KdiParams:
             raise ValueError(f"similarity_variant must be one of {tuple(SIMILARITY)}")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        if self.min_cluster_size < 0:
+            raise ValueError(f"min_cluster_size must be >= 0, got {self.min_cluster_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name, allowed in (("s_v3_center", S_V3_CENTERS), ("s_v3_metric", S_V3_METRICS)):
@@ -292,14 +295,17 @@ def ambiguous_v3(data, profiles, mc_samples, seed):
     """Monte-Carlo territory-area variant: the disputed fraction of the area
     covered by at least one territory, sampled uniformly over the bounding
     box of the data padded by a tenth of its width per side (0.1 on a flat
-    axis)."""
+    axis).  Each cluster's KDE is evaluated only at the samples that can
+    reach its territory (see density._log_density_above)."""
     if len(profiles) < 2:
         return 0.0
     lo, hi = data.points.min(axis=0), data.points.max(axis=0)
     pad = np.where(hi > lo, 0.1 * (hi - lo), 0.1)
     rng = np.random.default_rng(seed)
     samples = rng.uniform(lo - pad, hi + pad, size=(int(mc_samples), data.points.shape[1]))
-    values = np.column_stack([log_density_many(p.model, samples) for p in profiles])
+    values = np.column_stack(
+        [_log_density_above(p.model, samples, p.territory[0]) for p in profiles]
+    )
     hits = territory_membership(values, [p.territory for p in profiles]).sum(axis=1)
     in_any = int((hits >= 1).sum())
     if in_any == 0:

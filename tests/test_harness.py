@@ -657,12 +657,14 @@ def test_cli_error_taxonomy(tmp_path, capsys):
     missing = str(tmp_path / "missing.ini")
     assert cli.main(["evaluate", str(unlabeled), "--seed", "1", "--config", missing,
                      "--out", out]) == 1
-    # so are a negative seed, an unknown similarity_v3 center or metric (with
-    # or without --variants) and an empty generator or index list
+    # so are a negative seed or minimum cluster size, an unknown similarity_v3
+    # center or metric (with or without --variants) and an empty generator or
+    # index list
     for flags, text in (
         (["--seed", "-1"], ""),
         (["--seed", "1"], "[kdi]\nseed = -1\n"),
         ([], "[run]\nseed = -1\n"),
+        (["--seed", "1"], "[kdi]\nmin_cluster_size = -3\n"),
         (["--seed", "1"], "[kdi]\ns_v3_center = mode\n"),
         (["--seed", "1", "--variants"], "[kdi]\ns_v3_center = mode\n"),
         (["--seed", "1"], "[kdi]\ns_v3_metric = cubed\n"),

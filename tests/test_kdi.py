@@ -28,7 +28,7 @@ from kdeval.kdi import (
 )
 from kdeval.partitions import canonicalize
 
-from _fixtures import random_dataset
+from _fixtures import four_blobs, random_dataset, two_rings
 from _oracles import kdi_reference
 
 SPEC = BandwidthSearchSpec(grid=(0.3, 0.6, 1.2), folds=2, seed=0)
@@ -48,6 +48,9 @@ def test_params_validation():
         KdiParams(ambiguous_variant="v9")
     with pytest.raises(ValueError):
         KdiParams(mc_samples=0)
+    with pytest.raises(ValueError, match="min_cluster_size"):
+        KdiParams(min_cluster_size=-3)
+    assert KdiParams(min_cluster_size=0).min_cluster_size == 0
 
 
 def test_coincident_cluster_uses_beta_interval():
@@ -308,6 +311,103 @@ def test_v3_disjoint_blobs_zero():
     ds = make_blobs(2, 25, [(0, 0), (80, 0)], sigma=0.5, seed=20)
     profiles = _profiles(ds, list(ds.reference_labels))
     assert ambiguous_v3(ds, profiles, 20000, seed=3) == 0.0
+
+
+def _v3_samples(ds, mc_samples, seed):
+    """ambiguous_v3's Monte-Carlo samples, drawn as its docstring defines them."""
+    lo, hi = ds.points.min(axis=0), ds.points.max(axis=0)
+    pad = np.where(hi > lo, 0.1 * (hi - lo), 0.1)
+    rng = np.random.default_rng(seed)
+    return rng.uniform(lo - pad, hi + pad, size=(mc_samples, ds.points.shape[1]))
+
+
+def _v3_by_definition(ds, profiles, mc_samples, seed):
+    """ambiguous_v3 from its definition: every cluster's KDE at every sample."""
+    samples = _v3_samples(ds, mc_samples, seed)
+    values = np.column_stack([log_density_many(p.model, samples) for p in profiles])
+    hits = territory_membership(values, [p.territory for p in profiles]).sum(axis=1)
+    in_any = int((hits >= 1).sum())
+    return int((hits >= 2).sum()) / in_any if in_any else 0.0
+
+
+def _with_singleton_and_coincident(ds, labels):
+    """ds plus one far singleton and five coincident points, as two more clusters."""
+    k = int(np.max(labels)) + 1
+    extra = np.array([ds.points.max(axis=0) * 1.05] + [ds.points.min(axis=0)] * 5)
+    points = np.concatenate([ds.points, extra])
+    return Dataset(points, id="odd"), list(labels) + [k] + [k + 1] * 5
+
+
+def _v3_case(name):
+    """(dataset, labels, params, bw_spec, mc_samples) of one seeded case."""
+    rings = two_rings(seed=9, m1=120, m2=160)
+    blobs = four_blobs(seed=5, per_cluster=40)
+    rng = np.random.default_rng(13)
+    if name == "rings":
+        return rings, rings.reference_labels, KdiParams(seed=0), None, 20000
+    if name == "blobs":
+        return blobs, blobs.reference_labels, KdiParams(seed=0), None, 5000
+    if name == "d1":
+        pts = np.r_[rng.normal(0.0, 1.0, 40), rng.normal(2.5, 0.5, 30), rng.normal(9.0, 2.0, 30)]
+        return Dataset(pts, id="d1"), [0] * 40 + [1] * 30 + [2] * 30, KdiParams(seed=0), None, 3000
+    if name == "d4":
+        ds = make_blobs(3, 30, [(0, 0, 0, 0), (3, 0, 0, 0), (0, 9, 0, 9)], sigma=1.0, seed=14)
+        return ds, ds.reference_labels, KdiParams(seed=0), None, 3000
+    if name == "singleton+coincident":
+        ds, labels = _with_singleton_and_coincident(blobs, blobs.reference_labels)
+        return ds, labels, KdiParams(seed=0), None, 4000
+    if name == "singleton+coincident, zero margins":
+        ds, labels = _with_singleton_and_coincident(rings, rings.reference_labels)
+        return ds, labels, KdiParams(alpha1=0.0, beta1=0.0, seed=0), SPEC, 4000
+    if name == "alpha1=0":
+        return blobs, blobs.reference_labels, KdiParams(alpha1=0.0, seed=0), None, 4000
+    if name.startswith("scale"):
+        ds = Dataset(rings.points * float(name[5:]), id="scaled")
+        return ds, rings.reference_labels, KdiParams(seed=0), None, 2000
+    if name.startswith("mc"):
+        return rings, rings.reference_labels, KdiParams(seed=0), None, int(name[2:])
+    raise KeyError(name)
+
+
+V3_CASES = ("rings", "blobs", "d1", "d4", "singleton+coincident",
+            "singleton+coincident, zero margins", "alpha1=0",
+            "scale1e-4", "scale1e4", "mc1", "mc2", "mc20000")
+
+
+@pytest.mark.parametrize("name", V3_CASES)
+def test_v3_matches_every_sample_definition(name):
+    ds, labels, params, bw, mc_samples = _v3_case(name)
+    profiles = fit_profiles(ds, canonicalize(labels), params, bw_spec=bw)
+    for seed in (0, 3):
+        assert ambiguous_v3(ds, profiles, mc_samples, seed) == _v3_by_definition(
+            ds, profiles, mc_samples, seed
+        )
+    samples = _v3_samples(ds, mc_samples, 0)
+    for p in profiles:
+        floor = p.territory[0]
+        full = log_density_many(p.model, samples)
+        column = density._log_density_above(p.model, samples, floor)
+        kept = column > -np.inf
+        np.testing.assert_array_equal(column[kept], full[kept])
+        assert np.all(full[~kept] < floor)
+        assert kept[full >= floor].all()
+
+
+def test_v3_evaluates_fewer_samples_than_drawn(monkeypatch):
+    ds = two_rings(seed=9, m1=120, m2=160)
+    profiles = fit_profiles(ds, canonicalize(ds.reference_labels), KdiParams(seed=0))
+    expected = ambiguous_v3(ds, profiles, 20000, 1)
+    rows = []
+
+    def counting(model, queries):
+        rows.append((model, len(queries)))
+        return log_density_many(model, queries)
+
+    monkeypatch.setattr(density, "log_density_many", counting)
+    monkeypatch.setattr(kdi, "log_density_many", counting)
+    assert ambiguous_v3(ds, profiles, 20000, 1) == expected
+    assert [model for model, _ in rows] == [p.model for p in profiles]
+    assert all(n < 20000 for _, n in rows), rows
 
 
 def test_sv1_all_equal_degenerate_counts_full():
