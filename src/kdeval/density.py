@@ -5,7 +5,8 @@ training points still get a finite log-density.  The log-sum-exp is the
 package's own (_logsumexp, which EM also uses): scipy 1.17's algorithm, giving
 the bits of scipy.special.logsumexp at that version whatever scipy is
 installed.  Bandwidths come from a cross-validated grid search, with a
-Scott-style fallback for clusters too small to cross-validate.
+Scott-style fallback for clusters too small to cross-validate; the search
+evaluates only the grid values that a nearest-neighbour bound cannot rule out.
 """
 
 import math
@@ -29,9 +30,17 @@ MEDIAN_SUBSAMPLE = 500
 # bandwidth alone, so the split is bit-exact.
 KERNEL_BLOCK = 65536
 
-# Guard for held-out points whose log-density is non-finite; cannot trigger
-# with log-sum-exp on finite inputs but bounds the CV objective regardless.
+# Held-out log-density given to a point whose kernel value is non-finite, so
+# that the CV objective stays finite.  It fires when 2h^2 underflows to 0
+# (coordinates near 1e-170), when it overflows, and when every squared distance
+# over 2h^2 overflows.
 UNDERFLOW_PENALTY = -1e10
+
+# Nearest neighbours per point (its own fold's included) from which _cv_scores
+# bounds the point's held-out log-density.  A point whose listed neighbours all
+# share its fold has no lower bound, and then no grid value is ruled out; with
+# 8, that happened in most 2-fold CV calls on clusters of a few hundred points.
+CV_NEIGHBOURS = 16
 
 
 @dataclass(frozen=True)
@@ -176,22 +185,106 @@ def log_density(model, x):
     return float(log_density_many(model, x.reshape(1, -1))[0])
 
 
+def _lse_bounds(sq, c, own, rest):
+    """(lower, upper) bounds, each (len(c), rows), on logsumexp_j(-sq_j / c) over
+    each row's training points, for each value of the (g, 1) array c.  sq
+    (rows, k) holds the squared distances from the row to its k nearest points
+    of the whole cluster in increasing order, own marks those in the row's own
+    fold (not training points), and rest counts the row's training points that
+    are not listed, each at least sq[:, -1] away.
+
+    Both sums are shifted by the nearest listed training point (by sq[:, -1]
+    when none is listed).  Exponents are clamped at -700 before exp, which only
+    raises the upper sum, and the clamped terms are dropped from the lower sum,
+    which only lowers it: exp never takes its slow underflow path.
+    """
+    s = np.where(own, np.inf, sq)
+    near = np.minimum(s.min(axis=1), sq[:, -1])
+    e = np.divide(near[:, None] - s, c[:, :, None])
+    clamped = e < -700.0
+    np.maximum(e, -700.0, out=e)
+    np.exp(e, out=e)
+    cap = np.exp(np.maximum((near - sq[:, -1]) / c, -700.0))
+    shift = near / c
+    upper = np.log(e.sum(axis=2) + rest * cap) - shift
+    np.copyto(e, 0.0, where=clamped)
+    return np.log(e.sum(axis=2)) - shift, upper
+
+
+def _cv_survivors(pts, folds, grid):
+    """Mask of the grid values (a (g, 1) array) whose CV score over the folds
+    (index arrays) a nearest-neighbour bound cannot rule out.
+
+    One cKDTree query lists each point's CV_NEIGHBOURS nearest points; those
+    in its own fold are dropped, and the last listed distance caps every
+    unlisted training point.  _lse_bounds turns these into bounds on each
+    held-out log-density, so on each value's score: lb below, ub above (each
+    point's value counted as at least UNDERFLOW_PENALTY).  A value is ruled
+    out when ub < best - 1 - 1e-6 * (|ub| + |best|), best the highest lb.
+
+    Why the slack suffices: rounding moves each computed value and each bound
+    term by a few ulps of its shift d^2/2h^2, norm and count logs.  The shifts
+    all have one sign, so their sum is within |ub| + |best| plus the norms,
+    and those are below 2e4 per point because only values whose 2h^2 is a
+    normal float are bounded (and only if no listed squared distance exceeds
+    1e300, so the kernel's stay finite).  The gap is thus below 1e-6 * (|ub| +
+    |best|) plus 1e-9 nat per point, within the slack below 1e9 points, so a
+    ruled-out value scores strictly below the best: it is never the argmax.
+    The value with the best lb (its ub is at least its lb) always survives.
+    """
+    m, d = pts.shape
+    dist, near = cKDTree(pts).query(pts, k=min(CV_NEIGHBOURS, m))
+    sq = dist * dist
+    if not sq[:, -1].max() <= 1e300:  # also catches inf, listed by the tree as index m
+        return np.ones(len(grid), dtype=bool)
+    fold = np.empty(m, dtype=np.intp)
+    for f, held in enumerate(folds):
+        fold[held] = f
+    own = fold[near] == fold[:, None]
+    train = m - np.bincount(fold)[fold]
+    rest = train - np.count_nonzero(~own, axis=1)
+    lower = np.zeros(len(grid))
+    upper = np.zeros(len(grid))
+    rows = max(1, KERNEL_BLOCK // (sq.shape[1] * len(grid)))
+    chunk = max(1, KERNEL_BLOCK // sq[:rows].size)
+    with np.errstate(all="ignore"):
+        c = 2.0 * grid * grid
+        for r in range(0, m, rows):
+            b = slice(r, r + rows)
+            for g in range(0, len(grid), chunk):
+                lo, hi = _lse_bounds(sq[b], c[g : g + chunk], own[b], rest[b])
+                norm = np.log(train[b]) + d * np.log(grid[g : g + chunk]) + 0.5 * d * LOG_2PI
+                lower[g : g + chunk] += (lo - norm).sum(axis=1)
+                upper[g : g + chunk] += np.maximum(hi - norm, UNDERFLOW_PENALTY).sum(axis=1)
+    usable = np.isfinite(c[:, 0]) & (c[:, 0] >= np.finfo(np.float64).tiny)
+    lower = np.where(usable, lower / len(folds), -np.inf)
+    upper = np.where(usable, upper / len(folds), np.inf)
+    best = lower.max()
+    return ~(upper < best - 1.0 - 1e-6 * (np.abs(upper) + abs(best)))
+
+
 def _cv_scores(pts, spec):
     """CV score of each value of spec.grid: the mean over folds of the summed
-    held-out log-densities.  Folds are a seeded shuffle of the points; one
-    kernel call per fold covers the whole grid."""
+    held-out log-densities, or -inf for a value that _cv_survivors rules out
+    (it never rules out the argmax).  Folds are a seeded shuffle of the points;
+    one kernel call per fold covers the surviving values.  Each bandwidth row of
+    _log_kde depends on its own h alone, so their scores keep their bits."""
     folds = np.array_split(np.random.default_rng(spec.seed).permutation(pts.shape[0]), spec.folds)
-    sums = np.empty((len(spec.grid), spec.folds))
+    grid = np.asarray(spec.grid)[:, None]
+    keep = _cv_survivors(pts, folds, grid)
+    sums = np.full((len(grid), spec.folds), -np.inf)
     for f, held in enumerate(folds):
-        ll = _log_kde(pts[held], np.delete(pts, held, axis=0), spec.grid)
-        sums[:, f] = np.where(np.isfinite(ll), ll, UNDERFLOW_PENALTY).sum(axis=1)
+        ll = _log_kde(pts[held], np.delete(pts, held, axis=0), grid[keep, 0])
+        sums[keep, f] = np.where(np.isfinite(ll), ll, UNDERFLOW_PENALTY).sum(axis=1)
     return sums.mean(axis=1)
 
 
 def select_bandwidth(points, spec):
     """Pick the bandwidth in spec.grid maximizing held-out log-likelihood (see
     _cv_scores).  Ties (and near-ties are not special-cased) resolve toward
-    the larger bandwidth.  A one-value grid is returned as it is.
+    the larger bandwidth.  Grid values that a nearest-neighbour bound rules
+    out are not evaluated; they can never be the maximum, so the choice is
+    the exhaustive search's.  A one-value grid is returned as it is.
 
     Raises ValueError when spec has no grid (choose_bandwidth resolves the
     auto grid) or when there are fewer points than folds; callers fall back

@@ -199,7 +199,109 @@ def test_cv_scores_match_per_fold_fit_kde_loop():
         pts = rng.standard_normal((m, d))
         cases.append((pts, auto_search_spec(pts, folds=5, seed=m)))
     for pts, spec in cases:
-        assert np.array_equal(_cv_scores(pts, spec), _cv_scores_by_definition(pts, spec))
+        _assert_cv_contract(pts, spec)
+
+
+def _assert_cv_contract(pts, spec):
+    """_cv_scores evaluates a subset of the grid: those entries keep the bits of
+    the definition, the others (-inf) score strictly below its maximum, and
+    select_bandwidth picks the definition's argmax (ties to the larger h)."""
+    got = _cv_scores(pts, spec)
+    full = _cv_scores_by_definition(pts, spec)
+    assert np.array_equal(_cv_scores_exhaustive(pts, spec), full)
+    kept = got > -np.inf
+    assert kept.any()
+    assert np.array_equal(got[kept], full[kept])
+    assert np.all(full[~kept] < full.max())
+    assert select_bandwidth(pts, spec) == spec.grid[np.flatnonzero(full == full.max())[-1]]
+
+
+def _cv_scores_exhaustive(pts, spec):
+    """Every grid value's CV score, with one kernel call per fold over the whole
+    grid: the definition's bits (see _assert_cv_contract), fast enough for
+    hundreds of clusters."""
+    folds = np.array_split(np.random.default_rng(spec.seed).permutation(pts.shape[0]), spec.folds)
+    sums = np.empty((len(spec.grid), spec.folds))
+    for f, held in enumerate(folds):
+        ll = density._log_kde(pts[held], np.delete(pts, held, axis=0), spec.grid)
+        sums[:, f] = np.where(np.isfinite(ll), ll, UNDERFLOW_PENALTY).sum(axis=1)
+    return sums.mean(axis=1)
+
+
+def test_select_bandwidth_matches_exhaustive_argmax():
+    # Seeded clusters of every shape the bound has to survive: tiny clusters
+    # (m at or below CV_NEIGHBOURS lists every point), coincident halves, a
+    # third of the points at the origin, coordinates rounded so that distances
+    # tie, scales from 1e-3 to 1e3, and 1e-170 (2h^2 underflows to 0) and
+    # 1e150 / 1e155 (squared distances near or past overflow).
+    rng = np.random.default_rng(31)
+    shapes = ("normal", "halves", "origin", "rounded")
+    extreme = (1e-170, 1e150, 1e155)
+    ruled_out = 0
+    for case in range(600):
+        d = int(rng.integers(1, 6))
+        folds = int(rng.integers(2, 11))
+        hi = density.CV_NEIGHBOURS + 1 if case % 4 == 0 else 301
+        m = int(rng.integers(folds, max(folds + 1, hi)))
+        pts = rng.standard_normal((m, d))
+        shape = shapes[int(rng.integers(len(shapes)))]
+        if shape == "halves":
+            pts[m // 2 :] = pts[: m - m // 2]
+        elif shape == "origin":
+            pts[: m // 3] = 0.0
+        elif shape == "rounded":
+            pts = np.round(pts, 1)
+        scale = extreme[case % 3] if case % 10 == 9 else 10.0 ** rng.uniform(-3, 3)
+        pts *= scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            spec = auto_search_spec(pts, folds=folds, seed=case)
+        if spec is None or not np.all(np.isfinite(spec.grid)):
+            grid = scale * np.geomspace(0.01, 10.0, GRID_SIZE)
+            spec = BandwidthSearchSpec(tuple(grid), folds, case)
+        with np.errstate(over="ignore"):  # 2h^2 overflows at 1e155
+            scores = _cv_scores(pts, spec)
+            full = _cv_scores_exhaustive(pts, spec)
+            chosen = select_bandwidth(pts, spec)
+            c = 2.0 * np.asarray(spec.grid) ** 2
+        kept = scores > -np.inf
+        assert np.array_equal(scores[kept], full[kept]), case
+        assert np.all(full[~kept] < full.max()), case
+        assert chosen == spec.grid[np.flatnonzero(full == full.max())[-1]], case
+        assert np.all(kept[~(np.isfinite(c) & (c >= np.finfo(np.float64).tiny))]), case
+        if scale == 1e-170:
+            assert kept.all(), case
+        ruled_out += int((~kept).sum())
+    assert ruled_out > 0
+
+
+def test_cv_evaluates_fewer_than_half_the_grid(monkeypatch):
+    calls = []
+    log_kde = density._log_kde
+
+    def recording(queries, points, hs):
+        calls.append(len(hs))
+        return log_kde(queries, points, hs)
+
+    monkeypatch.setattr(density, "_log_kde", recording)
+    pts = np.random.default_rng(15).standard_normal((400, 4))
+    spec = auto_search_spec(pts)
+    assert len(spec.grid) == 20
+    # 2 folds: the likeliest case of a point whose listed neighbours all share its fold
+    for folds in (spec.folds, 2):
+        calls.clear()
+        density.select_bandwidth(pts, BandwidthSearchSpec(spec.grid, folds, spec.seed))
+        assert len(calls) == folds and max(calls) < len(spec.grid) / 2
+
+
+def test_cv_scores_penalize_underflowing_bandwidths():
+    # Near 1e-170, 2h^2 underflows to 0, so every held-out kernel value is
+    # non-finite and takes UNDERFLOW_PENALTY; no grid value is ruled out.
+    pts = 1e-170 * np.random.default_rng(16).standard_normal((40, 2))
+    spec = BandwidthSearchSpec(tuple(1e-170 * np.geomspace(0.01, 10.0, GRID_SIZE)), 5, 4)
+    assert np.all(2.0 * np.asarray(spec.grid) ** 2 == 0.0)
+    scores = _cv_scores(pts, spec)
+    assert np.array_equal(scores, _cv_scores_by_definition(pts, spec))
+    assert np.all(scores == UNDERFLOW_PENALTY * 40 / 5)
 
 
 def test_select_bandwidth_one_distance_block_per_fold(monkeypatch):
@@ -284,9 +386,22 @@ def test_kernel_temporaries_stay_within_kernel_block(monkeypatch):
     assert log_density_many(model, rng.standard_normal((20000, 2))).shape == (20000,)
     assert len(sizes) > 1 and max(sizes) <= KERNEL_BLOCK
     sizes.clear()
+    bound_sizes = []
+    lse_bounds = density._lse_bounds
+
+    def recording_bounds(sq, c, own, rest):
+        bound_sizes.append(np.size(sq) * np.size(c))
+        return lse_bounds(sq, c, own, rest)
+
+    monkeypatch.setattr(density, "_lse_bounds", recording_bounds)
     pts = rng.standard_normal((700, 2))
     _cv_scores(pts, auto_search_spec(pts))
     assert len(sizes) > 1 and max(sizes) <= KERNEL_BLOCK
+    assert len(bound_sizes) > 1 and max(bound_sizes) <= KERNEL_BLOCK
+    bound_sizes.clear()
+    grid = tuple(np.geomspace(0.01, 10.0, KERNEL_BLOCK // density.CV_NEIGHBOURS + 5))
+    _cv_scores(pts[:20], BandwidthSearchSpec(grid, 5, 0))  # one row's grid splits
+    assert len(bound_sizes) > 20 and max(bound_sizes) <= KERNEL_BLOCK
 
 
 def test_logsumexp_last_matches_scipy_bit_for_bit():
