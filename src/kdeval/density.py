@@ -2,11 +2,12 @@
 
 Densities are evaluated in log space via log-sum-exp, so queries far from the
 training points still get a finite log-density.  The log-sum-exp is the
-package's own (_logsumexp, which EM also uses): scipy 1.17's algorithm, giving
-the bits of scipy.special.logsumexp at that version whatever scipy is
-installed.  Bandwidths come from a cross-validated grid search, with a
-Scott-style fallback for clusters too small to cross-validate; the search
-evaluates only the grid values that a nearest-neighbour bound cannot rule out.
+package's own (_logsumexp, which EM also uses): scipy 1.17's algorithm, with
+scipy.special.logsumexp's bits at that version whatever scipy is installed.
+Bandwidths come from a cross-validated grid search, with a Scott-style
+fallback for clusters too small to cross-validate; the search evaluates only
+the grid values that a nearest-neighbour bound cannot rule out.  Monte-Carlo
+territory tests run the exact kernel only near a territory's ends.
 """
 
 import math
@@ -42,6 +43,9 @@ UNDERFLOW_PENALTY = -1e10
 # 8, that happened in most 2-fold CV calls on clusters of a few hundred points.
 CV_NEIGHBOURS = 16
 
+# Clamp on shifted exponents where only a bound or side is needed: exp is slow on underflow.
+EXP_CLAMP = -700.0
+
 
 @dataclass(frozen=True)
 class DensityModel:
@@ -72,8 +76,8 @@ class BandwidthSearchSpec:
         grid = tuple(float(h) for h in self.grid)
         if not grid:
             raise ValueError("bandwidth grid must be non-empty")
-        if any(h <= 0 for h in grid):
-            raise ValueError("bandwidth candidates must be positive")
+        if not all(0.0 < h < math.inf for h in grid):  # also rejects nan
+            raise ValueError("bandwidth candidates must be positive and finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("bandwidth grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
@@ -154,28 +158,39 @@ def log_density_many(model, queries):
     return _log_kde(q, model.training_points, (model.bandwidth,))[0]
 
 
-def _log_density_above(model, queries, floor):
-    """log_density_many(model, queries) at the query rows whose log-density can
-    reach floor, -inf at the others.  floor is a territory's lower end, so it
-    is at most top (below) and the radius is real.
+def _log_density_above(model, queries, territory):
+    """Log KDE density at each query row, close enough that territory_membership
+    sorts it against territory = (lo, hi) as it sorts log_density_many's values.
 
-    A log-sum-exp of m terms is at most its largest term plus log m, which the
-    norm subtracts, so log f(x) <= top - dmin(x)^2 / 2h^2 with top = -d*log h
-    - (d/2)*log 2pi and dmin(x) the distance from x to the nearest training
-    point.  Rows beyond the radius where that bound meets floor - slack are
-    skipped.  Rounding moves the bound and the kernel's value by a few ulps of
-    |floor|, |top| and log m; a slack of 1 nat plus 1e-9 of |floor| + |top|
-    dwarfs that, so every skipped row's computed value is below floor too.
-    Kept rows keep their bits: each row depends on its own query alone.
+    A log-sum-exp of m terms is at most its largest term plus the log m that
+    the norm subtracts, so log f(x) <= top - dmin(x)^2 / 2h^2, with top = -d*log
+    h - (d/2)*log 2pi and dmin(x) the distance to the nearest training point.
+    Rows where that bound is below lo by over 1 + 1e-9 (|lo| + |top|), far more
+    than rounding, get -inf.  The kept rows' shifted exponents are clamped at
+    EXP_CLAMP before exp, which adds at most m*e^-700 to the kernel's sum (same
+    division and shift): the values differ by a few ulps of |value| + |norm| +
+    log m.  Rows within slack = 1e-6 + 1e-9 (|value| + |norm|) of lo or hi,
+    which dwarfs that, and non-finite rows (finite exactly when the kernel's
+    max is) get log_density_many's bits; any other row is on its side of both.
     """
     pts = model.training_points
-    h, d = model.bandwidth, pts.shape[1]
+    (m, d), h, (lo, hi) = pts.shape, model.bandwidth, territory
     top = -d * math.log(h) - 0.5 * d * LOG_2PI
-    reach = top - floor + 1.0 + 1e-9 * (abs(floor) + abs(top))
-    radius = h * math.sqrt(2.0 * reach)
-    keep = cKDTree(pts).query(queries, distance_upper_bound=radius)[0] < np.inf
+    radius = h * math.sqrt(2.0 * (top - lo + 1.0 + 1e-9 * (abs(lo) + abs(top))))
+    keep = np.flatnonzero(cKDTree(pts).query(queries, distance_upper_bound=radius)[0] < np.inf)
     out = np.full(queries.shape[0], -np.inf)
-    out[keep] = log_density_many(model, queries[keep])
+    norm = math.log(m) - top
+    rows = max(1, KERNEL_BLOCK // m)
+    with np.errstate(all="ignore"):
+        for r in range(0, len(keep), rows):
+            a = np.divide(cdist(queries[keep[r : r + rows]], pts, "sqeuclidean"), -2.0 * h * h)
+            a_max = a.max(axis=1, keepdims=True)
+            np.exp(np.maximum(np.subtract(a, a_max, out=a), EXP_CLAMP, out=a), out=a)
+            out[keep[r : r + rows]] = np.log(a.sum(axis=1)) + a_max[:, 0] - norm
+        v = out[keep]
+        slack = 1e-6 + 1e-9 * (np.abs(v) + abs(norm))
+        near = ~np.isfinite(v) | (np.abs(v - lo) <= slack) | (np.abs(v - hi) <= slack)
+    out[keep[near]] = log_density_many(model, queries[keep[near]])
     return out
 
 
@@ -194,17 +209,17 @@ def _lse_bounds(sq, c, own, rest):
     are not listed, each at least sq[:, -1] away.
 
     Both sums are shifted by the nearest listed training point (by sq[:, -1]
-    when none is listed).  Exponents are clamped at -700 before exp, which only
-    raises the upper sum, and the clamped terms are dropped from the lower sum,
-    which only lowers it: exp never takes its slow underflow path.
+    when none is listed).  Exponents are clamped at EXP_CLAMP before exp, which
+    only raises the upper sum, and the clamped terms are dropped from the lower
+    sum, which only lowers it: exp never takes its slow underflow path.
     """
     s = np.where(own, np.inf, sq)
     near = np.minimum(s.min(axis=1), sq[:, -1])
     e = np.divide(near[:, None] - s, c[:, :, None])
-    clamped = e < -700.0
-    np.maximum(e, -700.0, out=e)
+    clamped = e < EXP_CLAMP
+    np.maximum(e, EXP_CLAMP, out=e)
     np.exp(e, out=e)
-    cap = np.exp(np.maximum((near - sq[:, -1]) / c, -700.0))
+    cap = np.exp(np.maximum((near - sq[:, -1]) / c, EXP_CLAMP))
     shift = near / c
     upper = np.log(e.sum(axis=2) + rest * cap) - shift
     np.copyto(e, 0.0, where=clamped)
@@ -332,12 +347,12 @@ def auto_search_spec(points, folds=DEFAULT_FOLDS, seed=0):
     """Default scale-relative search spec: GRID_SIZE log-spaced candidates
     spanning GRID_SPAN times the cluster's median pairwise distance.
 
-    Returns None when the scale is degenerate (all points coincident);
-    choose_bandwidth then uses fallback_bandwidth.
+    Returns None when the scale is degenerate (all points coincident) or so
+    large that the grid overflows; choose_bandwidth then uses fallback_bandwidth.
     """
     pts = _as_points(points)
     s = cluster_scale(pts, seed=seed)
-    if s <= 0.0:
+    if not 0.0 < GRID_SPAN[1] * s < math.inf:
         return None
     grid = np.geomspace(GRID_SPAN[0] * s, GRID_SPAN[1] * s, GRID_SIZE)
     return BandwidthSearchSpec(grid=tuple(grid), folds=folds, seed=seed)

@@ -354,11 +354,19 @@ def test_spec_validation():
         BandwidthSearchSpec(grid=(1.0, 0.5), folds=5)
     with pytest.raises(ValueError):
         BandwidthSearchSpec(grid=(0.5, 1.0), folds=1)
+    for grid in ((math.nan, 1.0), (0.5, math.nan), (math.nan,), (1.0, math.inf), (math.inf,)):
+        with pytest.raises(ValueError, match="finite"):
+            BandwidthSearchSpec(grid=grid, folds=5)
 
 
 def test_auto_spec_degenerate_scale():
     assert auto_search_spec(np.zeros((10, 2))) is None
     assert choose_bandwidth(np.zeros((10, 2))) == 1.0
+    # distances overflow near 1e155: no grid, and the fallback's inf is refused loudly
+    pts = 1e155 * np.random.default_rng(3).standard_normal((30, 2))
+    assert auto_search_spec(pts) is None
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite, got inf"):
+        fit_kde(pts, choose_bandwidth(pts))
 
 
 def test_log_density_many_row_blocks_are_bit_exact():
@@ -402,6 +410,52 @@ def test_kernel_temporaries_stay_within_kernel_block(monkeypatch):
     grid = tuple(np.geomspace(0.01, 10.0, KERNEL_BLOCK // density.CV_NEIGHBOURS + 5))
     _cv_scores(pts[:20], BandwidthSearchSpec(grid, 5, 0))  # one row's grid splits
     assert len(bound_sizes) > 20 and max(bound_sizes) <= KERNEL_BLOCK
+    blocks = []
+
+    def recording_cdist(*args, **kwargs):
+        out = cdist(*args, **kwargs)
+        blocks.append(out.size)
+        return out
+
+    monkeypatch.setattr(density, "cdist", recording_cdist)
+    queries = rng.standard_normal((20000, 2))
+    column = density._log_density_above(model, queries, (-1e3, 1e3))  # every row kept
+    assert np.all(np.isfinite(column)) and sum(blocks) == 20000 * 450
+    assert len(blocks) > 1 and max(blocks) <= KERNEL_BLOCK
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-3, 1.0, 1e3, 1e150])
+def test_territory_sides_match_exact_kernel_with_ends_on_sample_values(scale, monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = []
+    for d in (1, 2, 4):
+        pts = scale * rng.standard_normal((int(rng.integers(1, 300)), d))
+        pts[len(pts) // 2 :] = pts[: len(pts) - len(pts) // 2]  # coincident training points
+        queries = 4.0 * scale * rng.uniform(-1.0, 1.0, (3000, d))
+        queries[: len(pts)] = pts  # queries on training points
+        for h in (0.05, 0.3, 2.0):
+            cases.append((fit_kde(pts, scale * h), queries))
+    fallback = []
+
+    def counting(model, queries):
+        fallback.append(len(queries))
+        return log_density_many(model, queries)
+
+    for model, queries in cases:
+        exact = log_density_many(model, queries)
+        ranked = np.sort(exact[~np.isnan(exact)])
+        if not ranked.size:  # near 1e-170 sq and 2h^2 underflow to 0: every value is nan
+            ranked = np.array([-np.inf])
+        n = len(ranked)
+        for lo, hi in ((ranked[n // 10], ranked[9 * n // 10]), (ranked[n // 2], ranked[n // 2]),
+                       (ranked[0], ranked[-1])):  # ends exactly on sample values
+            fallback.clear()
+            monkeypatch.setattr(density, "log_density_many", counting)
+            column = density._log_density_above(model, queries, (lo, hi))
+            monkeypatch.undo()
+            inside = (exact >= lo) & (exact <= hi)
+            np.testing.assert_array_equal((column >= lo) & (column <= hi), inside)
+            assert sum(fallback) > 0, (scale, model.d, lo, hi)
 
 
 def test_logsumexp_last_matches_scipy_bit_for_bit():

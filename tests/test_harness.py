@@ -678,7 +678,7 @@ def test_cli_error_taxonomy(tmp_path, capsys):
                         + flags) == 1, (flags, text)
         assert capsys.readouterr().err.startswith("usage error"), (flags, text)
     # a bad bandwidth grid is rejected when the config is built
-    for grid in ("1.0, 0.5", "-1"):
+    for grid in ("1.0, 0.5", "-1", "nan, 1.0", "0.5, nan", "1.0, inf"):
         bad_grid = tmp_path / "grid.ini"
         bad_grid.write_text(f"[bandwidth]\ngrid = {grid}\n")
         capsys.readouterr()

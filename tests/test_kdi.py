@@ -384,13 +384,10 @@ def test_v3_matches_every_sample_definition(name):
         )
     samples = _v3_samples(ds, mc_samples, 0)
     for p in profiles:
-        floor = p.territory[0]
+        lo, hi = p.territory
         full = log_density_many(p.model, samples)
-        column = density._log_density_above(p.model, samples, floor)
-        kept = column > -np.inf
-        np.testing.assert_array_equal(column[kept], full[kept])
-        assert np.all(full[~kept] < floor)
-        assert kept[full >= floor].all()
+        column = density._log_density_above(p.model, samples, p.territory)
+        np.testing.assert_array_equal((column >= lo) & (column <= hi), (full >= lo) & (full <= hi))
 
 
 def test_v3_evaluates_fewer_samples_than_drawn(monkeypatch):
@@ -406,8 +403,8 @@ def test_v3_evaluates_fewer_samples_than_drawn(monkeypatch):
     monkeypatch.setattr(density, "log_density_many", counting)
     monkeypatch.setattr(kdi, "log_density_many", counting)
     assert ambiguous_v3(ds, profiles, 20000, 1) == expected
-    assert [model for model, _ in rows] == [p.model for p in profiles]
-    assert all(n < 20000 for _, n in rows), rows
+    # the exact kernel sees only the rows near a territory's end
+    assert sum(n for _, n in rows) < 0.01 * 20000 * len(profiles), rows
 
 
 def test_sv1_all_equal_degenerate_counts_full():
