@@ -2,12 +2,13 @@
 
 Densities are evaluated in log space via log-sum-exp, so queries far from the
 training points still get a finite log-density.  The log-sum-exp is the
-package's own (_logsumexp, which EM also uses): scipy 1.17's algorithm, with
-scipy.special.logsumexp's bits at that version whatever scipy is installed.
-Bandwidths come from a cross-validated grid search, with a Scott-style
-fallback for clusters too small to cross-validate; the search evaluates only
-the grid values that a nearest-neighbour bound cannot rule out.  Monte-Carlo
-territory tests run the exact kernel only near a territory's ends.
+package's own (_logsumexp, which EM also uses); it clamps shifted exponents at
+EXP_CLAMP, so exp never takes its slow underflow path.  Every KDE value comes
+from the one kernel, _log_kde.  Bandwidths come from a cross-validated grid
+search, with a Scott-style fallback for clusters too small to cross-validate;
+the search evaluates only the grid values that a nearest-neighbour bound
+cannot rule out.  Monte-Carlo territory tests skip the queries that cannot
+reach a territory.
 """
 
 import math
@@ -43,7 +44,9 @@ UNDERFLOW_PENALTY = -1e10
 # 8, that happened in most 2-fold CV calls on clusters of a few hundred points.
 CV_NEIGHBOURS = 16
 
-# Clamp on shifted exponents where only a bound or side is needed: exp is slow on underflow.
+# Clamp on shifted exponents before exp, which is slow where its result underflows.
+# Each clamped term adds at most e^-700 (about 1e-304) to a sum whose largest
+# term is 1.
 EXP_CLAMP = -700.0
 
 
@@ -101,28 +104,15 @@ def fit_kde(points, h):
 
 
 def _logsumexp(a, overwrite_a=False):
-    """logsumexp(a, axis=-1) with scipy.special.logsumexp's bits; overwrite_a
-    reuses a's buffer.  scipy 1.17's algorithm: each row's maxima are counted
-    (n) and left out of the shifted sum s, giving log1p(s / n) + log(n) + max.
-    scipy's fallback for non-finite results, log(sum(exp(a))), is left out: a
-    result is non-finite only when the row's max is -inf, +inf or nan, and the
-    fallback then gives the same -inf, +inf or nan."""
+    """logsumexp(a, axis=-1); overwrite_a reuses a's buffer.  Each row is
+    shifted by its max where that is finite, and the shifted exponents are
+    clamped at EXP_CLAMP before exp.  A row whose max is -inf, +inf or nan
+    gives that max."""
     with np.errstate(all="ignore"):
         a_max = a.max(axis=-1, keepdims=True)
-        mask = a == a_max
-        n = mask.sum(axis=-1, keepdims=True, dtype=np.float64)
-        e = np.subtract(a, a_max, out=a if overwrite_a else None)
-        np.exp(e, out=e)
-        np.copyto(e, 0.0, where=mask)
-        s = e.sum(axis=-1, keepdims=True)
-        np.divide(s, n, out=s, where=s != 0)
-        return (np.log1p(s) + np.log(n) + a_max)[..., 0]
-
-
-def _logsumexp_last(sq, c):
-    """(k, rows) logsumexp(-sq / c[:, :, None], axis=2) of a (rows, m) block sq."""
-    with np.errstate(all="ignore"):
-        return _logsumexp(np.divide(sq, -c[:, :, None]), overwrite_a=True)
+        e = np.subtract(a, np.where(np.isfinite(a_max), a_max, 0.0), out=a if overwrite_a else None)
+        np.exp(np.maximum(e, EXP_CLAMP, out=e), out=e)
+        return np.log(e.sum(axis=-1)) + a_max[..., 0]
 
 
 def _log_kde(queries, points, hs):
@@ -141,10 +131,10 @@ def _log_kde(queries, points, hs):
         sq = cdist(queries[r : r + rows], points, "sqeuclidean")
         chunk = max(1, KERNEL_BLOCK // sq.size)
         for c in range(0, hs.shape[0], chunk):
-            h = hs[c : c + chunk]
-            out[c : c + chunk, r : r + rows] = (
-                _logsumexp_last(sq, 2.0 * h * h) - norm[c : c + chunk]
-            )
+            h = hs[c : c + chunk, :, None]
+            with np.errstate(all="ignore"):
+                a = np.divide(sq, -2.0 * h * h)
+            out[c : c + chunk, r : r + rows] = _logsumexp(a, overwrite_a=True) - norm[c : c + chunk]
     return out
 
 
@@ -158,39 +148,24 @@ def log_density_many(model, queries):
     return _log_kde(q, model.training_points, (model.bandwidth,))[0]
 
 
-def _log_density_above(model, queries, territory):
-    """Log KDE density at each query row, close enough that territory_membership
-    sorts it against territory = (lo, hi) as it sorts log_density_many's values.
+def _log_density_above(model, queries, lo):
+    """Log KDE density at each query row that can reach lo, a territory's
+    lower end, and -inf at the others; territory_membership sorts the column
+    as it sorts log_density_many's values.
 
     A log-sum-exp of m terms is at most its largest term plus the log m that
     the norm subtracts, so log f(x) <= top - dmin(x)^2 / 2h^2, with top = -d*log
     h - (d/2)*log 2pi and dmin(x) the distance to the nearest training point.
     Rows where that bound is below lo by over 1 + 1e-9 (|lo| + |top|), far more
-    than rounding, get -inf.  The kept rows' shifted exponents are clamped at
-    EXP_CLAMP before exp, which adds at most m*e^-700 to the kernel's sum (same
-    division and shift): the values differ by a few ulps of |value| + |norm| +
-    log m.  Rows within slack = 1e-6 + 1e-9 (|value| + |norm|) of lo or hi,
-    which dwarfs that, and non-finite rows (finite exactly when the kernel's
-    max is) get log_density_many's bits; any other row is on its side of both.
+    than rounding, get -inf; the kept rows get log_density_many's bits.
     """
     pts = model.training_points
-    (m, d), h, (lo, hi) = pts.shape, model.bandwidth, territory
+    d, h = pts.shape[1], model.bandwidth
     top = -d * math.log(h) - 0.5 * d * LOG_2PI
     radius = h * math.sqrt(2.0 * (top - lo + 1.0 + 1e-9 * (abs(lo) + abs(top))))
     keep = np.flatnonzero(cKDTree(pts).query(queries, distance_upper_bound=radius)[0] < np.inf)
     out = np.full(queries.shape[0], -np.inf)
-    norm = math.log(m) - top
-    rows = max(1, KERNEL_BLOCK // m)
-    with np.errstate(all="ignore"):
-        for r in range(0, len(keep), rows):
-            a = np.divide(cdist(queries[keep[r : r + rows]], pts, "sqeuclidean"), -2.0 * h * h)
-            a_max = a.max(axis=1, keepdims=True)
-            np.exp(np.maximum(np.subtract(a, a_max, out=a), EXP_CLAMP, out=a), out=a)
-            out[keep[r : r + rows]] = np.log(a.sum(axis=1)) + a_max[:, 0] - norm
-        v = out[keep]
-        slack = 1e-6 + 1e-9 * (np.abs(v) + abs(norm))
-        near = ~np.isfinite(v) | (np.abs(v - lo) <= slack) | (np.abs(v - hi) <= slack)
-    out[keep[near]] = log_density_many(model, queries[keep[near]])
+    out[keep] = _log_kde(queries[keep], pts, (h,))[0]
     return out
 
 

@@ -7,6 +7,7 @@ index and its adjusted Rand index against the reference partition exceeds
 wall-clock timings go to a separate runtime.txt.
 """
 
+import csv
 import dataclasses
 import math
 import os
@@ -138,8 +139,9 @@ def evaluate_dataset(config, dataset, candidates=None):
     Candidates default to every configured generator for every k in the
     config range (clamped to n), deduplicated, plus the reference partition
     when the dataset has labels.  Index or generator failures on individual
-    candidates become warnings, never run failures.  Candidates that share a
-    cluster share its density fit (one profile cache per call).
+    candidates become warnings; with no candidate at all, the ValueError lists
+    the distinct warnings.  Candidates that share a cluster share its density
+    fit (one profile cache per call).
     """
     captured = []
     t0 = time.monotonic()
@@ -149,6 +151,9 @@ def evaluate_dataset(config, dataset, candidates=None):
             candidates = _candidates(config, dataset)
     captured.extend(str(w.message) for w in caught)
     t_generate = time.monotonic() - t0
+    if not candidates:
+        raise ValueError("no candidate partition was generated"
+                         + "".join(f"\n  - {m}" for m in dict.fromkeys(captured)))
 
     reference = dataset.reference_labels
     t0 = time.monotonic()
@@ -229,16 +234,16 @@ def write_report(report, out_dir, dataset=None, emit_svgs=False):
         idx: {pos: rank for rank, pos in enumerate(order, start=1)}
         for idx, order in report.rankings.items()
     }
-    lines = [",".join(header)]
+    lines = [header]
     for pos, row in enumerate(report.rows):
         fields = [str(pos), row.source, str(row.K)]
         fields += [_fmt(row.scores.get(col)) for col in score_cols]
         fields.append(_fmt(row.ari))
         fields += [str(positions[idx][pos]) for idx in rank_cols]
         fields.append(";".join(repr(float(h)) for h in row.bandwidths))
-        lines.append(",".join(fields))
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(fields)
+    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(lines)
 
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"dataset: {report.dataset_id} (n={report.n}, d={report.d})\n")

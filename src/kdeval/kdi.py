@@ -295,8 +295,8 @@ def ambiguous_v3(data, profiles, mc_samples, seed):
     """Monte-Carlo territory-area variant: the disputed fraction of the area
     covered by at least one territory, sampled uniformly over the bounding
     box of the data padded by a tenth of its width per side (0.1 on a flat
-    axis).  Samples that cannot reach a territory are skipped, and the exact
-    kernel runs only near its ends (see density._log_density_above)."""
+    axis).  Samples that cannot reach a territory are skipped (see
+    density._log_density_above)."""
     if len(profiles) < 2:
         return 0.0
     lo, hi = data.points.min(axis=0), data.points.max(axis=0)
@@ -304,7 +304,7 @@ def ambiguous_v3(data, profiles, mc_samples, seed):
     rng = np.random.default_rng(seed)
     samples = rng.uniform(lo - pad, hi + pad, size=(int(mc_samples), data.points.shape[1]))
     values = np.column_stack(
-        [_log_density_above(p.model, samples, p.territory) for p in profiles]
+        [_log_density_above(p.model, samples, p.territory[0]) for p in profiles]
     )
     hits = territory_membership(values, [p.territory for p in profiles]).sum(axis=1)
     in_any = int((hits >= 1).sum())

@@ -6,6 +6,7 @@ linkages.  All partitions are canonicalized (cluster ids renumbered by first
 occurrence) so equality up to relabeling is a plain array comparison.
 """
 
+import csv
 import os
 import warnings
 from dataclasses import dataclass
@@ -310,17 +311,15 @@ def save_partitions(directory, partitions):
     """Write each partition as one label per line plus a manifest.csv with
     (file, source, k) rows."""
     os.makedirs(directory, exist_ok=True)
-    rows = []
+    rows = [("file", "source", "k")]
     for i, part in enumerate(partitions):
         fname = f"partition_{i:03d}.txt"
         with open(os.path.join(directory, fname), "w", encoding="utf-8") as fh:
             for label in part.labels:
                 fh.write(f"{int(label)}\n")
         rows.append((fname, part.source, part.K))
-    with open(os.path.join(directory, "manifest.csv"), "w", encoding="utf-8") as fh:
-        fh.write("file,source,k\n")
-        for fname, source, k in rows:
-            fh.write(f"{fname},{source},{k}\n")
+    with open(os.path.join(directory, "manifest.csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def load_partitions(directory):
@@ -329,10 +328,9 @@ def load_partitions(directory):
     manifest = os.path.join(directory, "manifest.csv")
     out = []
     if os.path.exists(manifest):
-        with open(manifest, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        for line in lines[1:]:
-            fname, source, _k = line.split(",", 2)
+        with open(manifest, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+        for fname, source, _k in rows[1:]:
             labels = np.loadtxt(os.path.join(directory, fname), dtype=np.int64, ndmin=1)
             out.append(canonicalize(labels, source=source))
     else:

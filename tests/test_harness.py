@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import tempfile
@@ -36,8 +37,10 @@ from kdeval.kdi import (
     similarity_v2,
     similarity_v3,
 )
-from kdeval.partitions import canonicalize
+from kdeval.partitions import canonicalize, load_partitions
 from kdeval.svgplot import emit_svg
+
+from _fixtures import four_blobs
 
 HERE = os.path.dirname(__file__)
 
@@ -493,6 +496,35 @@ def test_cli_evaluate_and_rank_round_trip(tmp_path, capsys):
     )
     assert rc == 0
     assert (out2 / "report.csv").read_bytes() == report_bytes
+
+
+def test_cli_rank_keeps_a_comma_in_a_candidate_source(tmp_path):
+    ds = _easy_dataset()
+    data_path = tmp_path / "easy.csv"
+    save_dataset_csv(ds, data_path)
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    np.savetxt(parts / "a,b.txt", ds.reference_labels, fmt="%d")
+    np.savetxt(parts / "c.txt", np.arange(ds.n) % 2, fmt="%d")
+    out = tmp_path / "rank"
+    rc = cli.main(["rank", str(data_path), "--partitions", str(parts), "--label-column", "-1",
+                   "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[header.index("source")] for row in rows] == ["a,b", "c"]
+    assert [p.source for p in load_partitions(out / "candidates")] == ["a,b", "c"]
+
+
+def test_cli_names_generator_failures_when_no_candidate_survives(tmp_path, capsys):
+    # at 1e155 every squared distance overflows, so every generator fails
+    path = tmp_path / "huge.csv"
+    save_dataset_csv(Dataset(four_blobs(seed=1, per_cluster=15).points * 1e155, id="huge"), path)
+    assert cli.main(["evaluate", str(path), "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "no candidate partition was generated" in err
+    assert "linkage single failed" in err and "generator kmeans failed for k=2" in err
 
 
 def test_cli_bench(tmp_path):

@@ -386,8 +386,11 @@ def test_v3_matches_every_sample_definition(name):
     for p in profiles:
         lo, hi = p.territory
         full = log_density_many(p.model, samples)
-        column = density._log_density_above(p.model, samples, p.territory)
+        column = density._log_density_above(p.model, samples, lo)
         np.testing.assert_array_equal((column >= lo) & (column <= hi), (full >= lo) & (full <= hi))
+        # kept rows carry the kernel's bits; dropped rows are exactly below lo
+        kept = column.view(np.uint64) == full.view(np.uint64)
+        assert np.all(kept | ((column == -np.inf) & (full < lo)))
 
 
 def test_v3_evaluates_fewer_samples_than_drawn(monkeypatch):
@@ -395,16 +398,16 @@ def test_v3_evaluates_fewer_samples_than_drawn(monkeypatch):
     profiles = fit_profiles(ds, canonicalize(ds.reference_labels), KdiParams(seed=0))
     expected = ambiguous_v3(ds, profiles, 20000, 1)
     rows = []
+    log_kde = density._log_kde
 
-    def counting(model, queries):
-        rows.append((model, len(queries)))
-        return log_density_many(model, queries)
+    def counting(queries, points, hs):
+        rows.append(len(queries))
+        return log_kde(queries, points, hs)
 
-    monkeypatch.setattr(density, "log_density_many", counting)
-    monkeypatch.setattr(kdi, "log_density_many", counting)
+    monkeypatch.setattr(density, "_log_kde", counting)
     assert ambiguous_v3(ds, profiles, 20000, 1) == expected
-    # the exact kernel sees only the rows near a territory's end
-    assert sum(n for _, n in rows) < 0.01 * 20000 * len(profiles), rows
+    # the kernel sees only the rows that can reach a territory
+    assert 0 < sum(rows) < 0.5 * 20000 * len(profiles), rows
 
 
 def test_sv1_all_equal_degenerate_counts_full():
