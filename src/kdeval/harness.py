@@ -338,14 +338,13 @@ def aggregate_accuracy(reports):
 def write_accuracy(table, out_dir):
     """Write accuracy.csv (per-index counts) and grid.csv (S/F per dataset)."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "accuracy.csv"), "w", encoding="utf-8") as fh:
-        fh.write("index,succeeded,total,accuracy\n")
-        for index, (succeeded, total) in table.counts.items():
-            fh.write(f"{index},{succeeded},{total},{succeeded}/{total}\n")
-    with open(os.path.join(out_dir, "grid.csv"), "w", encoding="utf-8") as fh:
-        fh.write("index," + ",".join(table.dataset_ids) + "\n")
-        for index, cells in table.grid.items():
-            fh.write(index + "," + ",".join(cells.get(d, "") for d in table.dataset_ids) + "\n")
+    accuracy = [("index", "succeeded", "total", "accuracy")]
+    accuracy += [(i, s, t, f"{s}/{t}") for i, (s, t) in table.counts.items()]
+    grid = [("index", *table.dataset_ids)]
+    grid += [(i, *(cells.get(d, "") for d in table.dataset_ids)) for i, cells in table.grid.items()]
+    for name, rows in (("accuracy.csv", accuracy), ("grid.csv", grid)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def calibrate(config, training_datasets, out_path=None):

@@ -1,9 +1,11 @@
 """Candidate partition generation and canonicalization.
 
 Generators: Lloyd k-means with k-means++ seeding, full-covariance Gaussian
-mixture EM, and agglomerative clustering cut at k for the four standard
-linkages.  All partitions are canonicalized (cluster ids renumbered by first
-occurrence) so equality up to relabeling is a plain array comparison.
+mixture EM (log-densities from inverted Cholesky factors; build_candidates
+starts its k-means init from the k-means candidate at the same k), and
+agglomerative clustering cut at k for the four standard linkages.  All
+partitions are canonicalized (cluster ids renumbered by first occurrence) so
+equality up to relabeling is a plain array comparison.
 """
 
 import csv
@@ -136,24 +138,28 @@ def kmeans(data, k, seed):
 
 def _log_gaussians(X, means, chols):
     """Component-wise multivariate normal log-densities from Cholesky factors,
-    as an (n, k) array; one batched solve over the stacked factors."""
+    as an (n, k) array.  The factors are inverted once (the precision factors
+    L^-1, as scikit-learn's precisions_cholesky_ transposed) and the
+    Mahalanobis terms |L^-1 (x - mu)|^2 come from one batched matmul."""
     d = X.shape[1]
     diff = X[None, :, :] - means[:, None, :]
-    solved = np.linalg.solve(chols, diff.transpose(0, 2, 1))
-    maha = (solved**2).sum(axis=1)
+    y = np.matmul(np.linalg.inv(chols), diff.transpose(0, 2, 1))
+    maha = np.einsum("kdn,kdn->kn", y, y)
     logdet = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     return np.ascontiguousarray((-0.5 * (maha + logdet[:, None] + d * np.log(2.0 * np.pi))).T)
 
 
-def _em_init(data, k, seed, kind, reg):
+def _em_init(data, k, seed, init, reg):
+    """Starting means, covariances and weights: from the clusters of the
+    Partition init (a cluster id it lacks gets one random point), or, with
+    init None, random data points as means and the data covariance."""
     X = data.points
     n, d = X.shape
     rng = np.random.default_rng(_derive_seed(seed, 1))
     means = np.empty((k, d))
     covs = np.empty((k, d, d))
     weights = np.full(k, 1.0 / k)
-    if kind == "kmeans":
-        init = kmeans(data, k, seed)
+    if init is not None:
         for j in range(k):
             members = X[init.labels == j] if j < init.K else X[rng.integers(n)].reshape(1, -1)
             means[j] = members.mean(axis=0)
@@ -169,10 +175,10 @@ def _em_init(data, k, seed, kind, reg):
     return means, covs, weights
 
 
-def _em_once(data, k, seed, init_kind="kmeans"):
+def _em_once(data, k, seed, init):
     X = data.points
     reg = EM_REG * np.eye(X.shape[1])
-    means, covs, weights = _em_init(data, k, seed, init_kind, reg)
+    means, covs, weights = _em_init(data, k, seed, init, reg)
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITER):
         chols = np.linalg.cholesky(covs)
@@ -196,15 +202,18 @@ def _em_once(data, k, seed, init_kind="kmeans"):
     return resp.argmax(axis=1), ll
 
 
-def gmm_em(data, k, seed):
+def gmm_em(data, k, seed, init=None):
     """Full-covariance EM with hard assignment by maximum responsibility.
 
     Runs GMM_INITS (4) initializations (k-means first, then random means) and
-    keeps the solution with the best final log-likelihood.  A run stops once
-    the mean log-likelihood per sample gains less than EM_TOL (1e-3) in an
-    iteration, or after EM_MAX_ITER (200).  Covariances are regularized by
-    EM_REG * I; a singular covariance despite regularization triggers a
-    reseeded retry, up to EM_MAX_RESTARTS extra attempts.
+    keeps the solution with the best final log-likelihood.  The k-means init
+    starts from the clusters of init, a k-means Partition of the same data at
+    this k (build_candidates passes its kmeans candidate); with init None it
+    runs kmeans itself.  A run stops once the mean log-likelihood per sample
+    gains less than EM_TOL (1e-3) in an iteration, or after EM_MAX_ITER (200).
+    Covariances are regularized by EM_REG * I; a singular covariance despite
+    regularization triggers a reseeded retry, up to EM_MAX_RESTARTS extra
+    attempts, and a retry of the k-means init runs its own kmeans.
     """
     X = data.points
     if not 1 <= k <= X.shape[0]:
@@ -214,9 +223,12 @@ def gmm_em(data, k, seed):
     attempt = 0
     done = 0
     while done < GMM_INITS and attempt < GMM_INITS + EM_MAX_RESTARTS:
-        kind = "kmeans" if done == 0 else "random"
+        run_seed = _derive_seed(seed, attempt)
         try:
-            labels, ll = _em_once(data, k, _derive_seed(seed, attempt), init_kind=kind)
+            start = None
+            if done == 0:
+                start = init if attempt == 0 and init is not None else kmeans(data, k, run_seed)
+            labels, ll = _em_once(data, k, run_seed, init=start)
             results.append((ll, done, labels))
             done += 1
         except np.linalg.LinAlgError as exc:
@@ -284,15 +296,16 @@ def build_candidates(data, k_range, seed, generators=GENERATORS):
             ordered[pos] = Partition(kept.labels, kept.K, kept.source + "+" + part.source)
 
     for k in ks:
+        km = None  # the kmeans candidate at this k also starts GMM's k-means init
         for gi, gen in enumerate(GENERATORS):
             if gen not in generators:
                 continue
             cell_seed = _derive_seed(seed, k, gi)
             try:
                 if gen == "kmeans":
-                    part = kmeans(data, k, cell_seed)
+                    part = km = kmeans(data, k, cell_seed)
                 elif gen == "gmm":
-                    part = gmm_em(data, k, cell_seed)
+                    part = gmm_em(data, k, cell_seed, init=km)
                 else:
                     method = gen.split("-", 1)[1]
                     if method not in trees:

@@ -57,10 +57,11 @@ def emit_svg(data, partition, path, index_name="", index_value=None, ari=None):
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_fmt(MARGIN)}" y="16" font-family="monospace" font-size="12">{title}</text>',
     ]
-    for i in range(points.shape[0]):
-        cx = offset_x + scale * (points[i, 0] - lo[0])
-        cy = HEIGHT - (offset_y + scale * (points[i, 1] - lo[1]))
-        fill = PALETTE[int(labels[i]) % len(PALETTE)]
+    # elementwise, in the same operation order as one point at a time
+    cxs = offset_x + scale * (points[:, 0] - lo[0])
+    cys = HEIGHT - (offset_y + scale * (points[:, 1] - lo[1]))
+    for cx, cy, label in zip(cxs.tolist(), cys.tolist(), labels.tolist()):
+        fill = PALETTE[label % len(PALETTE)]
         lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.5" fill="{fill}"/>')
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

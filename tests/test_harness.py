@@ -542,6 +542,28 @@ def test_cli_bench(tmp_path):
     assert grid[0] == "index,a,b"
 
 
+def test_cli_bench_quotes_a_comma_in_a_dataset_id(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for seed, name in ((6, "a,b"), (7, "c")):
+        save_dataset_csv(make_blobs(2, 8, [(0, 0), (8, 8)], 0.5, seed=seed), data / f"{name}.csv")
+    out = tmp_path / "bench"
+    rc = cli.main(
+        ["bench", str(data), "--label-column", "-1", "--k-min", "2", "--k-max", "3",
+         "--seed", "1", "--out", str(out)]
+    )
+    assert rc == 0
+    with open(out / "grid.csv", newline="") as fh:
+        grid = list(csv.reader(fh))
+    assert grid[0] == ["index", "a,b", "c"]
+    assert len(grid) > 1 and all(len(row) == len(grid[0]) for row in grid)
+    assert all(cell in ("S", "F") for row in grid[1:] for cell in row[1:])
+    with open(out / "accuracy.csv", newline="") as fh:
+        accuracy = list(csv.reader(fh))
+    assert accuracy[0] == ["index", "succeeded", "total", "accuracy"]
+    assert all(len(row) == 4 and row[3] == f"{row[1]}/{row[2]}" for row in accuracy[1:])
+
+
 def test_cli_bench_keeps_going_past_a_bad_dataset(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

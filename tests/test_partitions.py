@@ -142,9 +142,10 @@ def test_build_candidates_dedup_arithmetic():
         for gi, gen in enumerate(GENERATORS):
             cell_seed = _derive_seed(13, k, gi)
             if gen == "kmeans":
-                raw.append(kmeans(ds, k, cell_seed))
+                km = kmeans(ds, k, cell_seed)
+                raw.append(km)
             elif gen == "gmm":
-                raw.append(gmm_em(ds, k, cell_seed))
+                raw.append(gmm_em(ds, k, cell_seed, init=km))
             else:
                 raw.append(agglomerative(ds, k, gen.split("-", 1)[1]))
     distinct = {p.key() for p in raw}
@@ -191,12 +192,12 @@ def test_build_candidates_rejects_bad_range():
 def test_build_candidates_failing_generator_warns_not_fatal(monkeypatch):
     import kdeval.partitions as pmod
 
-    def boom(data, k, seed):
+    def boom(data, k, seed, init=None):
         raise RuntimeError("forced failure")
 
     monkeypatch.setattr(pmod, "gmm_em", boom)
     ds = make_blobs(2, 10, [(0, 0), (8, 8)], sigma=0.5, seed=14)
-    with pytest.warns(UserWarning, match="gmm failed"):
+    with pytest.warns(UserWarning, match=r"gmm failed for k=\d: forced failure"):
         candidates = pmod.build_candidates(ds, [2, 3], seed=5)
     assert candidates  # the other generators still contribute
     assert all("gmm" not in c.source for c in candidates)
@@ -214,7 +215,9 @@ def test_partition_serialization_round_trip(tmp_path):
         assert loaded.source == orig.source
 
 
-def test_log_gaussians_batched_solve_matches_per_component_loop():
+def test_log_gaussians_matches_multivariate_normal_logpdf():
+    from scipy.stats import multivariate_normal
+
     rng = np.random.default_rng(14)
     for _ in range(40):
         n, d, k = int(rng.integers(1, 300)), int(rng.integers(1, 6)), int(rng.integers(1, 31))
@@ -222,12 +225,23 @@ def test_log_gaussians_batched_solve_matches_per_component_loop():
         means = 3.0 * rng.standard_normal((k, d))
         a = rng.standard_normal((k, d, d))
         chols = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d))
-        expected = np.empty((n, k))
+        got = _log_gaussians(X, means, chols)
+        assert got.shape == (n, k) and got.flags.c_contiguous
         for j in range(k):
-            solved = np.linalg.solve(chols[j], (X - means[j]).T)
-            logdet = 2.0 * np.log(np.diag(chols[j])).sum()
-            expected[:, j] = -0.5 * ((solved**2).sum(axis=0) + logdet + d * np.log(2.0 * np.pi))
-        assert np.array_equal(_log_gaussians(X, means, chols), expected)
+            cov = chols[j] @ chols[j].T
+            ref = multivariate_normal(means[j], cov).logpdf(X).reshape(n)
+            assert np.all(np.abs(got[:, j] - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+
+def test_log_gaussians_uses_no_general_solve(monkeypatch):
+    import kdeval.partitions as pmod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(pmod.np.linalg, "solve", no_solve)
+    chols = np.linalg.cholesky(np.array([[[2.0, 0.3], [0.3, 1.0]], [[1.0, 0.0], [0.0, 4.0]]]))
+    assert np.isfinite(_log_gaussians(np.ones((5, 2)), np.zeros((2, 2)), chols)).all()
 
 
 def test_em_converges_before_the_iteration_cap(monkeypatch):
@@ -259,14 +273,88 @@ def test_em_component_far_from_every_point_stays_dead(monkeypatch, kind):
 
     em_init = pmod._em_init
 
-    def far_init(data, k, seed, kind, reg):
-        means, covs, weights = em_init(data, k, seed, kind, reg)
+    def far_init(data, k, seed, init, reg):
+        means, covs, weights = em_init(data, k, seed, init, reg)
         means[-1] = 1e6  # no point gets any responsibility from it
         return means, covs, weights
 
     monkeypatch.setattr(pmod, "_em_init", far_init)
     ds = four_blobs()
+    init = kmeans(ds, 4, 3) if kind == "kmeans" else None
     with np.errstate(invalid="raise", divide="raise"):
-        labels, ll = pmod._em_once(ds, 4, seed=3, init_kind=kind)
+        labels, ll = pmod._em_once(ds, 4, seed=3, init=init)
     assert np.isfinite(ll)
     assert set(labels.tolist()) <= {0, 1, 2}
+
+
+def _count_kmeans(monkeypatch):
+    import kdeval.partitions as pmod
+
+    calls = []
+    real = pmod.kmeans
+
+    def spy(data, k, seed):
+        calls.append((k, seed))
+        return real(data, k, seed)
+
+    monkeypatch.setattr(pmod, "kmeans", spy)
+    return calls
+
+
+def test_build_candidates_runs_kmeans_once_per_k(monkeypatch):
+    import kdeval.partitions as pmod
+
+    calls = _count_kmeans(monkeypatch)
+    ds = four_blobs()
+    pmod.build_candidates(ds, range(2, 6), seed=4, generators=("kmeans", "gmm"))
+    assert sorted(k for k, _ in calls) == [2, 3, 4, 5]
+    # without the kmeans generator, gmm_em runs its own k-means init
+    calls.clear()
+    pmod.build_candidates(ds, [3], seed=4, generators=("gmm",))
+    assert [k for k, _ in calls] == [3]
+
+
+def test_gmm_em_kmeans_init_starts_from_the_given_partition(monkeypatch):
+    import kdeval.partitions as pmod
+
+    ds = four_blobs()
+    calls = _count_kmeans(monkeypatch)
+    starts = []
+    em_init = pmod._em_init
+
+    def recording_init(data, k, seed, init, reg):
+        out = em_init(data, k, seed, init, reg)
+        starts.append((init, out[0].copy()))
+        return out
+
+    monkeypatch.setattr(pmod, "_em_init", recording_init)
+    # a deliberately poor start: the first 4 points against the rest
+    part = canonicalize(np.r_[np.zeros(4, dtype=int), np.ones(ds.n - 4, dtype=int)])
+    gmm_em(ds, 3, seed=5, init=part)
+    assert calls == []  # no k-means run of its own
+    assert starts[0][0] is part
+    X = ds.points
+    expected = [X[:4].mean(axis=0), X[4:].mean(axis=0)]
+    np.testing.assert_array_equal(starts[0][1][:2], expected)
+    assert all(init is None for init, _ in starts[1:])
+
+
+def test_gmm_em_retry_after_cholesky_failure_runs_its_own_kmeans(monkeypatch):
+    import kdeval.partitions as pmod
+
+    ds = four_blobs()
+    given = kmeans(ds, 4, seed=11)
+    calls = _count_kmeans(monkeypatch)
+    cholesky = np.linalg.cholesky
+    failed = []
+
+    def failing_once(a):
+        if not failed:
+            failed.append(True)
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(pmod.np.linalg, "cholesky", failing_once)
+    part = gmm_em(ds, 4, seed=6, init=given)
+    assert failed and part.K == 4 and part.n == ds.n
+    assert calls == [(4, pmod._derive_seed(6, 1))]
