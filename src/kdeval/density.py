@@ -4,11 +4,12 @@ Densities are evaluated in log space via log-sum-exp, so queries far from the
 training points still get a finite log-density.  The log-sum-exp is the
 package's own (_logsumexp, which EM also uses); it clamps shifted exponents at
 EXP_CLAMP, so exp never takes its slow underflow path.  Every KDE value comes
-from the one kernel, _log_kde.  Bandwidths come from a cross-validated grid
-search, with a Scott-style fallback for clusters too small to cross-validate;
-the search evaluates only the grid values that a nearest-neighbour bound
-cannot rule out.  Monte-Carlo territory tests skip the queries that cannot
-reach a territory.
+from the one kernel, _log_kde, whose blocked log-sum-exp (_lse_blocks) the
+CV bound shares.  Bandwidths come from a cross-validated grid search, with a
+Scott-style fallback for clusters too small to cross-validate; the search
+evaluates only the grid values that a nearest-neighbour bound cannot rule
+out.  Monte-Carlo territory tests skip the queries that cannot reach a
+territory.
 """
 
 import math
@@ -26,10 +27,9 @@ GRID_SPAN = (0.01, 10.0)
 DEFAULT_FOLDS = 5
 MEDIAN_SUBSAMPLE = 500
 
-# Elements per kernel temporary: _log_kde splits its queries into row blocks and
-# each block's bandwidths into chunks so that no (bandwidths, rows, m) temporary
-# exceeds it (unless m alone does).  Each value depends on its own query row and
-# bandwidth alone, so the split is bit-exact.
+# Elements per kernel temporary: _lse_blocks splits rows into blocks and bandwidths
+# into chunks so that no (bandwidths, rows, width) temporary exceeds it (unless
+# width alone does); each value depends on its own row and bandwidth alone.
 KERNEL_BLOCK = 65536
 
 # Held-out log-density given to a point whose kernel value is non-finite, so
@@ -72,8 +72,10 @@ class BandwidthSearchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+        if not (np.issubdtype(type(self.folds), np.integer) and self.folds >= 2):
+            raise ValueError(f"folds must be an integer >= 2, got {self.folds!r}")
+        if not (np.issubdtype(type(self.seed), np.integer) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.grid is None:
             return
         grid = tuple(float(h) for h in self.grid)
@@ -95,8 +97,8 @@ def _as_points(points):
 def fit_kde(points, h):
     """Build a Gaussian KDE model from the points with bandwidth h."""
     pts = _as_points(points)
-    if pts.shape[0] < 1:
-        raise ValueError("cannot fit a KDE on an empty point set")
+    if pts.shape[0] < 1 or not np.all(np.isfinite(pts)):
+        raise ValueError("cannot fit a KDE on an empty or non-finite point set")
     h = float(h)
     if not np.isfinite(h) or h <= 0:
         raise ValueError(f"bandwidth must be positive and finite, got {h}")
@@ -115,27 +117,37 @@ def _logsumexp(a, overwrite_a=False):
         return np.log(e.sum(axis=-1)) + a_max[..., 0]
 
 
+def _lse_blocks(block, rows, width, hs):
+    """(len(hs), rows) logsumexp_j(-sq_j / 2h^2) for each bandwidth in hs, in
+    KERNEL_BLOCK-bounded blocks; block(r0, r1) gives the (r1 - r0, width)
+    squared distances sq of rows r0 to r1 (r1 may pass rows)."""
+    hs = np.asarray(hs, dtype=np.float64)[:, None, None]
+    out = np.empty((hs.shape[0], rows))
+    step = max(1, KERNEL_BLOCK // width)
+    for r in range(0, rows, step):
+        sq = block(r, r + step)
+        chunk = max(1, KERNEL_BLOCK // sq.size)
+        for c in range(0, hs.shape[0], chunk):
+            h = hs[c : c + chunk]
+            with np.errstate(all="ignore"):
+                a = np.divide(sq, -2.0 * h * h)
+            out[c : c + chunk, r : r + step] = _logsumexp(a, overwrite_a=True)
+    return out
+
+
 def _log_kde(queries, points, hs):
-    """(len(hs), rows) log KDE densities at each (rows, d) query row of the
-    Gaussian KDE on the (m, d) training points, for each bandwidth in hs.  The
-    one kernel, in KERNEL_BLOCK-bounded blocks.
+    """The one kernel: (len(hs), rows) log densities at each (rows, d) query row
+    of the Gaussian KDE on the (m, d) training points, for each bandwidth in hs.
 
     log f(x) = logsumexp_i(-|x - x_i|^2 / 2h^2) - log m - d*log h - (d/2)*log 2pi
     """
     m, d = points.shape
-    hs = np.asarray(hs, dtype=np.float64)[:, None]
-    norm = np.log(m) + d * np.log(hs) + 0.5 * d * LOG_2PI
-    out = np.empty((hs.shape[0], queries.shape[0]))
-    rows = max(1, KERNEL_BLOCK // m)
-    for r in range(0, queries.shape[0], rows):
-        sq = cdist(queries[r : r + rows], points, "sqeuclidean")
-        chunk = max(1, KERNEL_BLOCK // sq.size)
-        for c in range(0, hs.shape[0], chunk):
-            h = hs[c : c + chunk, :, None]
-            with np.errstate(all="ignore"):
-                a = np.divide(sq, -2.0 * h * h)
-            out[c : c + chunk, r : r + rows] = _logsumexp(a, overwrite_a=True) - norm[c : c + chunk]
-    return out
+    hs = np.asarray(hs, dtype=np.float64)
+    norm = np.log(m) + d * np.log(hs[:, None]) + 0.5 * d * LOG_2PI
+    lse = _lse_blocks(
+        lambda r0, r1: cdist(queries[r0:r1], points, "sqeuclidean"), len(queries), m, hs
+    )
+    return lse - norm
 
 
 def log_density_many(model, queries):
@@ -175,52 +187,28 @@ def log_density(model, x):
     return float(log_density_many(model, x.reshape(1, -1))[0])
 
 
-def _lse_bounds(sq, c, own, rest):
-    """(lower, upper) bounds, each (len(c), rows), on logsumexp_j(-sq_j / c) over
-    each row's training points, for each value of the (g, 1) array c.  sq
-    (rows, k) holds the squared distances from the row to its k nearest points
-    of the whole cluster in increasing order, own marks those in the row's own
-    fold (not training points), and rest counts the row's training points that
-    are not listed, each at least sq[:, -1] away.
-
-    Both sums are shifted by the nearest listed training point (by sq[:, -1]
-    when none is listed).  Exponents are clamped at EXP_CLAMP before exp, which
-    only raises the upper sum, and the clamped terms are dropped from the lower
-    sum, which only lowers it: exp never takes its slow underflow path.
-    """
-    s = np.where(own, np.inf, sq)
-    near = np.minimum(s.min(axis=1), sq[:, -1])
-    e = np.divide(near[:, None] - s, c[:, :, None])
-    clamped = e < EXP_CLAMP
-    np.maximum(e, EXP_CLAMP, out=e)
-    np.exp(e, out=e)
-    cap = np.exp(np.maximum((near - sq[:, -1]) / c, EXP_CLAMP))
-    shift = near / c
-    upper = np.log(e.sum(axis=2) + rest * cap) - shift
-    np.copyto(e, 0.0, where=clamped)
-    return np.log(e.sum(axis=2)) - shift, upper
-
-
 def _cv_survivors(pts, folds, grid):
     """Mask of the grid values (a (g, 1) array) whose CV score over the folds
     (index arrays) a nearest-neighbour bound cannot rule out.
 
-    One cKDTree query lists each point's CV_NEIGHBOURS nearest points; those
-    in its own fold are dropped, and the last listed distance caps every
-    unlisted training point.  _lse_bounds turns these into bounds on each
-    held-out log-density, so on each value's score: lb below, ub above (each
-    point's value counted as at least UNDERFLOW_PENALTY).  A value is ruled
+    One cKDTree query lists each point's CV_NEIGHBOURS nearest points, those in
+    its own fold set to +inf.  The kernel's log-sum-exp over them bounds each
+    held-out log-sum-exp below, and adding every unlisted training point at the
+    last listed distance bounds it above; summed, lb and ub bound each value's
+    score (each point's value at least UNDERFLOW_PENALTY).  A value is ruled
     out when ub < best - 1 - 1e-6 * (|ub| + |best|), best the highest lb.
 
-    Why the slack suffices: rounding moves each computed value and each bound
-    term by a few ulps of its shift d^2/2h^2, norm and count logs.  The shifts
-    all have one sign, so their sum is within |ub| + |best| plus the norms,
-    and those are below 2e4 per point because only values whose 2h^2 is a
-    normal float are bounded (and only if no listed squared distance exceeds
-    1e300, so the kernel's stay finite).  The gap is thus below 1e-6 * (|ub| +
-    |best|) plus 1e-9 nat per point, within the slack below 1e9 points, so a
-    ruled-out value scores strictly below the best: it is never the argmax.
-    The value with the best lb (its ub is at least its lb) always survives.
+    Why the slack suffices: the clamp at EXP_CLAMP raises each lower sum by
+    at most CV_NEIGHBOURS * e^-700 of its largest term (1.6e-303 nat).
+    Rounding moves each computed value and each bound term by a few ulps of
+    its shift d^2/2h^2, norm and count logs.  The shifts all have one sign, so
+    their sum is within |ub| + |best| plus the norms, and those are below 2e4
+    per point because only values whose 2h^2 is a normal float are bounded
+    (and only if no listed squared distance exceeds 1e300, so the kernel's
+    stay finite).  The gap is thus below 1e-6 * (|ub| + |best|) plus 1e-9 nat
+    per point, within the slack below 1e9 points, so a ruled-out value scores
+    strictly below the best: it is never the argmax.  The value with the best
+    lb (its ub is at least its lb) always survives.
     """
     m, d = pts.shape
     dist, near = cKDTree(pts).query(pts, k=min(CV_NEIGHBOURS, m))
@@ -233,19 +221,14 @@ def _cv_survivors(pts, folds, grid):
     own = fold[near] == fold[:, None]
     train = m - np.bincount(fold)[fold]
     rest = train - np.count_nonzero(~own, axis=1)
-    lower = np.zeros(len(grid))
-    upper = np.zeros(len(grid))
-    rows = max(1, KERNEL_BLOCK // (sq.shape[1] * len(grid)))
-    chunk = max(1, KERNEL_BLOCK // sq[:rows].size)
+    listed = np.where(own, np.inf, sq)
+    lower = _lse_blocks(lambda r0, r1: listed[r0:r1], m, sq.shape[1], grid[:, 0])
     with np.errstate(all="ignore"):
         c = 2.0 * grid * grid
-        for r in range(0, m, rows):
-            b = slice(r, r + rows)
-            for g in range(0, len(grid), chunk):
-                lo, hi = _lse_bounds(sq[b], c[g : g + chunk], own[b], rest[b])
-                norm = np.log(train[b]) + d * np.log(grid[g : g + chunk]) + 0.5 * d * LOG_2PI
-                lower[g : g + chunk] += (lo - norm).sum(axis=1)
-                upper[g : g + chunk] += np.maximum(hi - norm, UNDERFLOW_PENALTY).sum(axis=1)
+        upper = np.logaddexp(lower, np.log(rest) - sq[:, -1] / c)
+        norm = np.log(train) + d * np.log(grid) + 0.5 * d * LOG_2PI
+        lower = (lower - norm).sum(axis=1)
+        upper = np.maximum(upper - norm, UNDERFLOW_PENALTY).sum(axis=1)
     usable = np.isfinite(c[:, 0]) & (c[:, 0] >= np.finfo(np.float64).tiny)
     lower = np.where(usable, lower / len(folds), -np.inf)
     upper = np.where(usable, upper / len(folds), np.inf)

@@ -361,7 +361,7 @@ def calibrate(config, training_datasets, out_path=None):
     for ds in training_datasets:
         if ds.reference_labels is None:
             raise ValueError(f"training dataset {ds.id} has no reference labels")
-    base = config.kdi_params
+    base, spec = config.kdi_params, config.bw_spec()
     successes = {(d, a): 0 for d in CALIBRATION_DELTAS for a in CALIBRATION_ALPHAS}
     for ds in training_datasets:
         candidates = _candidates(config, ds)
@@ -369,15 +369,14 @@ def calibrate(config, training_datasets, out_path=None):
         cache = {}
         for alpha in CALIBRATION_ALPHAS:
             swept = dataclasses.replace(base, alpha1=alpha, alpha2=alpha)
-            profiles = [
-                fit_profiles(ds, part, swept, config.bw_spec(), cache=cache) for part in candidates
+            scores = [
+                kdi_index(ds, part, swept, profiles=fit_profiles(ds, part, swept, spec, cache=cache))
+                for part in candidates
             ]
-            i_a = [AMBIGUOUS[base.ambiguous_variant](ds, prof, swept) for prof in profiles]
-            i_s = [SIMILARITY[base.similarity_variant](ds, prof, swept) for prof in profiles]
             for delta in CALIBRATION_DELTAS:
                 entries = [
-                    (delta * ia + (1.0 - delta) * is_, part.K, part.source)
-                    for ia, is_, part in zip(i_a, i_s, candidates)
+                    (delta * score.I_a + (1.0 - delta) * score.I_s, part.K, part.source)
+                    for score, part in zip(scores, candidates)
                 ]
                 order = rank_candidates(entries, SMALLER_BETTER)
                 if aris[order[0]] > SUCCESS_THRESHOLD:

@@ -80,6 +80,9 @@ def test_fit_kde_rejects_bad_input():
         fit_kde(np.empty((0, 2)), h=1.0)
     with pytest.raises(ValueError):
         fit_kde([[0.0]], h=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_kde([[bad], [1.0]], 1.0)
 
 
 def test_normalization_1d():
@@ -354,6 +357,11 @@ def test_spec_validation():
         BandwidthSearchSpec(grid=(1.0, 0.5), folds=5)
     with pytest.raises(ValueError):
         BandwidthSearchSpec(grid=(0.5, 1.0), folds=1)
+    for folds, seed in ((3.0, 0), (True, 0), (None, 0), (5, 1.5), (5, -1), (5, True)):
+        with pytest.raises(ValueError, match="an integer"):
+            BandwidthSearchSpec(folds=folds, seed=seed)
+    spec = BandwidthSearchSpec(folds=np.int64(3), seed=np.uint32(7))
+    assert (spec.folds, spec.seed) == (3, 7)
     for grid in ((math.nan, 1.0), (0.5, math.nan), (math.nan,), (1.0, math.inf), (math.inf,)):
         with pytest.raises(ValueError, match="finite"):
             BandwidthSearchSpec(grid=grid, folds=5)
@@ -394,22 +402,17 @@ def test_kernel_temporaries_stay_within_kernel_block(monkeypatch):
     assert log_density_many(model, rng.standard_normal((20000, 2))).shape == (20000,)
     assert len(sizes) > 1 and max(sizes) <= KERNEL_BLOCK
     sizes.clear()
-    bound_sizes = []
-    lse_bounds = density._lse_bounds
-
-    def recording_bounds(sq, c, own, rest):
-        bound_sizes.append(np.size(sq) * np.size(c))
-        return lse_bounds(sq, c, own, rest)
-
-    monkeypatch.setattr(density, "_lse_bounds", recording_bounds)
     pts = rng.standard_normal((700, 2))
-    _cv_scores(pts, auto_search_spec(pts))
+    spec = auto_search_spec(pts)
+    _cv_scores(pts, spec)  # the bound pass and the exact pass
     assert len(sizes) > 1 and max(sizes) <= KERNEL_BLOCK
-    assert len(bound_sizes) > 1 and max(bound_sizes) <= KERNEL_BLOCK
-    bound_sizes.clear()
-    grid = tuple(np.geomspace(0.01, 10.0, KERNEL_BLOCK // density.CV_NEIGHBOURS + 5))
-    _cv_scores(pts[:20], BandwidthSearchSpec(grid, 5, 0))  # one row's grid splits
-    assert len(bound_sizes) > 20 and max(bound_sizes) <= KERNEL_BLOCK
+    sizes.clear()
+    density._cv_survivors(pts, np.array_split(np.arange(700), 5), np.asarray(spec.grid)[:, None])
+    assert len(sizes) > 1 and max(sizes) <= KERNEL_BLOCK
+    sizes.clear()
+    grid = np.geomspace(0.01, 10.0, KERNEL_BLOCK // density.CV_NEIGHBOURS + 5)
+    density._cv_survivors(pts[:20], np.array_split(np.arange(20), 5), grid[:, None])
+    assert len(sizes) > 20 and max(sizes) <= KERNEL_BLOCK  # one row's grid splits
     blocks = []
 
     def recording_cdist(*args, **kwargs):
