@@ -171,7 +171,7 @@ def load_dataset(path, format="csv", label_column=None, id=None):
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     path = str(path)
     dataset_id = id if id is not None else _stem(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         raw = fh.read().split("\n")
     lines = []
     for lineno, text in enumerate(raw, start=1):

@@ -69,12 +69,10 @@ class KdiParams:
             raise ValueError(f"ambiguous_variant must be one of {tuple(AMBIGUOUS)}")
         if self.similarity_variant not in SIMILARITY:
             raise ValueError(f"similarity_variant must be one of {tuple(SIMILARITY)}")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
-        if self.min_cluster_size < 0:
-            raise ValueError(f"min_cluster_size must be >= 0, got {self.min_cluster_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("mc_samples", 1), ("min_cluster_size", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not (np.issubdtype(type(value), np.integer) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         for name, allowed in (("s_v3_center", S_V3_CENTERS), ("s_v3_metric", S_V3_METRICS)):
             value = getattr(self, name)
             if value not in allowed:

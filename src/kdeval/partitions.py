@@ -1,11 +1,12 @@
 """Candidate partition generation and canonicalization.
 
-Generators: Lloyd k-means with k-means++ seeding, full-covariance Gaussian
-mixture EM (log-densities from inverted Cholesky factors; build_candidates
-starts its k-means init from the k-means candidate at the same k), and
-agglomerative clustering cut at k for the four standard linkages.  All
-partitions are canonicalized (cluster ids renumbered by first occurrence) so
-equality up to relabeling is a plain array comparison.
+Generators: Lloyd k-means with k-means++ seeding (the restarts run as one
+stacked Lloyd loop), full-covariance Gaussian mixture EM (log-densities from
+inverted Cholesky factors; build_candidates starts its k-means init from the
+k-means candidate at the same k), and agglomerative clustering cut at k for
+the four standard linkages.  All partitions are canonicalized (cluster ids
+renumbered by first occurrence) so equality up to relabeling is a plain array
+comparison.
 """
 
 import csv
@@ -92,33 +93,51 @@ def _kpp_init(X, k, rng):
 
 
 def _lloyd(X, centers):
-    n, k = X.shape[0], centers.shape[0]
-    labels = None
-    for _ in range(KMEANS_MAX_ITER):
-        sq = cdist(X, centers, "sqeuclidean")
-        new_labels = sq.argmin(axis=1)
-        counts = np.bincount(new_labels, minlength=k)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size:
+    """Lloyd's algorithm on the (R, k, d) centres of R restarts at once, in
+    place; returns the (R, n) labels and the R WCSS values.  Each iteration
+    makes one cdist against the centres of the restarts whose labels still
+    change.  Per-dimension bincount sums add in the order of the per-cluster
+    means, except at d=1, where numpy sums a cluster's column pairwise."""
+    (n, d), (R, k) = X.shape, centers.shape[:2]
+    labels = np.zeros((R, n), dtype=np.intp)
+    moving = np.arange(R)
+    for it in range(KMEANS_MAX_ITER):
+        A = len(moving)
+        sq = cdist(X, centers[moving].reshape(A * k, d), "sqeuclidean").reshape(n, A, k)
+        new = np.ascontiguousarray(sq.argmin(axis=2).T)
+        flat = (new + k * np.arange(A)[:, None]).ravel()
+        counts = np.bincount(flat, minlength=A * k).reshape(A, k)
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
             # reseed each empty cluster at the point farthest from its center
-            own = sq[np.arange(n), new_labels]
-            order = np.argsort(-own)
-            for rank, e in enumerate(empties):
-                centers[e] = X[order[rank]]
-            sq = cdist(X, centers, "sqeuclidean")
-            new_labels = sq.argmin(axis=1)
-            counts = np.bincount(new_labels, minlength=k)
-        if labels is not None and np.array_equal(labels, new_labels):
+            r = moving[a]
+            order = np.argsort(-sq[np.arange(n), a, new[a]])
+            for rank, e in enumerate(np.flatnonzero(counts[a] == 0)):
+                centers[r, e] = X[order[rank]]
+            new[a] = cdist(X, centers[r], "sqeuclidean").argmin(axis=1)
+            counts[a] = np.bincount(new[a], minlength=k)
+        go = np.ones(A, dtype=bool) if it == 0 else (labels[moving] != new).any(axis=1)
+        moving, new, counts = moving[go], new[go], counts[go]
+        if not len(moving):
             break
-        labels = new_labels
-        for j in np.flatnonzero(counts > 0):
-            centers[j] = X[labels == j].mean(axis=0)
-    wcss = float(cdist(X, centers, "sqeuclidean")[np.arange(n), labels].sum())
-    return labels, wcss
+        labels[moving] = new
+        if d == 1:
+            for a, r in enumerate(moving):
+                for j in np.flatnonzero(counts[a] > 0):
+                    centers[r, j] = X[new[a] == j].mean(axis=0)
+            continue
+        B = len(moving)
+        flat = (new + k * np.arange(B)[:, None]).ravel()
+        sums = np.stack([np.bincount(flat, np.tile(X[:, c], B), B * k) for c in range(d)], axis=-1)
+        means = sums.reshape(B, k, d) / np.maximum(counts, 1)[..., None]
+        centers[moving] = np.where((counts > 0)[..., None], means, centers[moving])
+    sq = cdist(X, centers.reshape(R * k, d), "sqeuclidean").reshape(n, R, k)
+    return labels, [float(sq[np.arange(n), r, labels[r]].sum()) for r in range(R)]
 
 
 def kmeans(data, k, seed):
-    """Lloyd's algorithm, k-means++ seeding, best of KMEANS_RESTARTS by WCSS.
+    """Lloyd's algorithm, k-means++ seeding, best of KMEANS_RESTARTS by WCSS
+    (the first strict minimum).  Every restart's init is drawn first, then the
+    restarts run as one stacked Lloyd loop (_lloyd).
 
     Degenerate data (fewer distinct points than k) yields fewer non-empty
     clusters after repair; canonicalization then reports the actual K.
@@ -127,12 +146,12 @@ def kmeans(data, k, seed):
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"k must be in 1..n={X.shape[0]}, got {k}")
     rng = np.random.default_rng(seed)
+    centers = np.stack([_kpp_init(X, k, rng) for _ in range(KMEANS_RESTARTS)])
+    labels, wcss = _lloyd(X, centers)
     best_labels, best_wcss = None, np.inf
-    for _ in range(KMEANS_RESTARTS):
-        centers = _kpp_init(X, k, rng)
-        labels, wcss = _lloyd(X, centers.copy())
-        if wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
+    for r, value in enumerate(wcss):
+        if value < best_wcss:
+            best_labels, best_wcss = labels[r], value
     return canonicalize(best_labels, source=f"kmeans-k{k}")
 
 
@@ -140,10 +159,10 @@ def _log_gaussians(X, means, chols):
     """Component-wise multivariate normal log-densities from Cholesky factors,
     as an (n, k) array.  The factors are inverted once (the precision factors
     L^-1, as scikit-learn's precisions_cholesky_ transposed) and the
-    Mahalanobis terms |L^-1 (x - mu)|^2 come from one batched matmul."""
+    Mahalanobis terms |L^-1 (x - mu)|^2 come from one batched matmul on the
+    (k, d, n) differences, so no loop runs along the short d axis."""
     d = X.shape[1]
-    diff = X[None, :, :] - means[:, None, :]
-    y = np.matmul(np.linalg.inv(chols), diff.transpose(0, 2, 1))
+    y = np.matmul(np.linalg.inv(chols), X.T[None] - means[:, :, None])
     maha = np.einsum("kdn,kdn->kn", y, y)
     logdet = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     return np.ascontiguousarray((-0.5 * (maha + logdet[:, None] + d * np.log(2.0 * np.pi))).T)

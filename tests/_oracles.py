@@ -351,3 +351,46 @@ def kdi_reference(
         "s_q": s_q,
         "territory": territory,
     }
+
+
+# --- k-means ------------------------------------------------------------
+
+
+def kmeans_sequential(X, k, seed, restarts=10, max_iter=300, init=None):
+    """k-means restarts run one after another, each with its own Lloyd loop
+    and per-cluster means.  Returns (labels, wcss) of the first strict WCSS
+    minimum, every restart's (labels, wcss), and the number of empty-cluster
+    reseeds.  init(X, k, rng) draws a restart's k-means++ centres (the
+    package's _kpp_init, so that both draw from one rng stream)."""
+    from scipy.spatial.distance import cdist
+
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    best_labels, best_wcss, runs, reseeds = None, np.inf, [], 0
+    for _ in range(restarts):
+        centers = init(X, k, rng).copy()
+        labels = None
+        for _ in range(max_iter):
+            sq = cdist(X, centers, "sqeuclidean")
+            new_labels = sq.argmin(axis=1)
+            counts = np.bincount(new_labels, minlength=k)
+            empties = np.flatnonzero(counts == 0)
+            if empties.size:
+                reseeds += 1
+                own = sq[np.arange(n), new_labels]
+                order = np.argsort(-own)
+                for rank, e in enumerate(empties):
+                    centers[e] = X[order[rank]]
+                sq = cdist(X, centers, "sqeuclidean")
+                new_labels = sq.argmin(axis=1)
+                counts = np.bincount(new_labels, minlength=k)
+            if labels is not None and np.array_equal(labels, new_labels):
+                break
+            labels = new_labels
+            for j in np.flatnonzero(counts > 0):
+                centers[j] = X[labels == j].mean(axis=0)
+        wcss = float(cdist(X, centers, "sqeuclidean")[np.arange(n), labels].sum())
+        runs.append((labels, wcss))
+        if wcss < best_wcss:
+            best_labels, best_wcss = labels, wcss
+    return best_labels, best_wcss, runs, reseeds

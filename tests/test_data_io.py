@@ -188,3 +188,21 @@ def test_arff_errors_name_their_line(tmp_path):
         load_dataset(arff, "arff")
     with pytest.raises(ParseError, match="line 5: label column 4 out of range for 2 columns"):
         load_dataset(arff, "arff", label_column=4)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "whitespace", "arff"])
+def test_byte_order_mark_is_not_data(tmp_path, fmt):
+    # editors on Windows start UTF-8 files with U+FEFF; it was read as part of
+    # the first value ('\ufeff1' is not numeric)
+    text = {"csv": "1,2,0\n3,4,1\n", "whitespace": "1 2 0\n3 4 1\n", "arff": ARFF}[fmt]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    (plain / "a.dat").write_text(text, encoding="utf-8")
+    (marked / "a.dat").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    label = None if fmt == "arff" else -1
+    a = load_dataset(plain / "a.dat", fmt, label_column=label)
+    b = load_dataset(marked / "a.dat", fmt, label_column=label)
+    assert a.id == b.id
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.reference_labels, b.reference_labels)

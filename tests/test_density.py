@@ -523,3 +523,67 @@ def test_oracle_equivalence_batch():
         q = rng.uniform(-4, 4, size=d)
         expected = kde_log_density_naive([tuple(p) for p in pts], h, tuple(q))
         assert log_density(model, q) == pytest.approx(expected, abs=1e-9)
+
+
+def _logsumexp_row_max(a):
+    """_logsumexp with every row max taken by a.max(axis=-1)."""
+    with np.errstate(all="ignore"):
+        a_max = a.max(axis=-1, keepdims=True)
+        e = np.subtract(a, np.where(np.isfinite(a_max), a_max, 0.0))
+        np.exp(np.maximum(e, density.EXP_CLAMP, out=e), out=e)
+        return np.log(e.sum(axis=-1)) + a_max[..., 0]
+
+
+def test_narrow_logsumexp_rows_keep_the_row_max_bits():
+    assert 1 < density.NARROW_WIDTH < 40
+    rng = np.random.default_rng(41)
+    specials = (np.nan, np.inf, -np.inf, 0.0, -0.0)
+    for width in range(1, 41):
+        for lead in ((37,), (3, 29)):
+            a = rng.normal(-20.0, 15.0, lead + (width,))
+            rows = a.reshape(-1, width)
+            rows[::4, rng.integers(width)] = rows[::4, 0]  # ties
+            for r in range(0, len(rows), 3):  # nan, +-inf and signed zeros
+                cols = rng.random(width) < 0.4
+                rows[r, cols] = rng.choice(specials, cols.sum())
+            rows[1] = -np.inf  # no finite entry
+            rows[2, -1] = np.nan
+            rows[5] = np.inf
+            before = a.copy()
+            expected = _logsumexp_row_max(a)
+            got = density._logsumexp(a)
+            assert np.array_equal(a, before, equal_nan=True)
+            assert got.shape == lead
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), width
+            in_place = density._logsumexp(a, overwrite_a=True)
+            assert np.array_equal(in_place.view(np.uint64), expected.view(np.uint64)), width
+
+
+def test_cv_bound_runs_only_from_cv_bound_min_points(monkeypatch):
+    calls = []
+    survivors = density._cv_survivors
+
+    def spy(pts, folds, grid):
+        calls.append(len(pts))
+        return survivors(pts, folds, grid)
+
+    monkeypatch.setattr(density, "_cv_survivors", spy)
+    gate = density.CV_BOUND_MIN
+    rng = np.random.default_rng(43)
+    ruled_out = 0
+    for d in (1, 2, 4):
+        for m in (gate - 1, gate):
+            pts = rng.standard_normal((m, d))
+            spec = auto_search_spec(pts, seed=m)
+            chosen, called = {}, {}
+            for forced in (0, 10**9, gate):  # always, never, and the module's gate
+                monkeypatch.setattr(density, "CV_BOUND_MIN", forced)
+                calls.clear()
+                chosen[forced] = select_bandwidth(pts, spec)
+                called[forced] = calls[:]
+                if forced == 0:
+                    ruled_out += int(np.isneginf(_cv_scores(pts, spec)).sum())
+            assert chosen[0] == chosen[10**9] == chosen[gate], (d, m)
+            assert called[0] == [m] and called[10**9] == []
+            assert called[gate] == ([m] if m >= gate else [])
+    assert ruled_out > 0  # the bound, when it runs, rules values out

@@ -673,6 +673,21 @@ def test_cli_evaluate_arff_nominal_class(tmp_path):
     np.testing.assert_array_equal(labels, [0, 0, 1, 1])
 
 
+def test_cli_evaluates_a_csv_with_a_byte_order_mark(tmp_path):
+    plain = tmp_path / "plain.csv"
+    save_dataset_csv(_easy_dataset(), plain)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for path in (plain, marked):
+        out = tmp_path / path.stem
+        args = ["evaluate", str(path), "--k-min", "2", "--k-max", "3", "--seed", "1",
+                "--out", str(out)]
+        assert cli.main(args) == 0
+    assert (tmp_path / "plain" / "report.csv").read_bytes() == (
+        tmp_path / "marked" / "report.csv"
+    ).read_bytes()
+
+
 def test_cli_rank_without_partitions_is_data_error(tmp_path):
     data_path = tmp_path / "easy.csv"
     save_dataset_csv(_easy_dataset(), data_path)

@@ -51,6 +51,16 @@ def test_params_validation():
     with pytest.raises(ValueError, match="min_cluster_size"):
         KdiParams(min_cluster_size=-3)
     assert KdiParams(min_cluster_size=0).min_cluster_size == 0
+    # counts are integers: a float would be truncated (2.5 samples ran 2) or
+    # fail deep inside ambiguous_v3 (nan); bools are not counts either
+    for name in ("mc_samples", "min_cluster_size", "seed"):
+        for bad in (2.5, float("nan"), float("inf"), 40.0, True, "3", None):
+            with pytest.raises(ValueError, match=name):
+                KdiParams(**{name: bad})
+    with pytest.raises(ValueError, match="seed"):
+        KdiParams(seed=-1)
+    params = KdiParams(mc_samples=np.int64(5), min_cluster_size=np.int32(0), seed=np.uint8(3))
+    assert (params.mc_samples, params.min_cluster_size, params.seed) == (5, 0, 3)
 
 
 def test_coincident_cluster_uses_beta_interval():

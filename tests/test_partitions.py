@@ -17,7 +17,7 @@ from kdeval.partitions import (
 )
 
 from _fixtures import anisotropic_pair, four_blobs, two_chains
-from _oracles import average_linkage_labels
+from _oracles import average_linkage_labels, kmeans_sequential
 
 
 def _reference(ds):
@@ -46,6 +46,64 @@ def test_kmeans_duplicate_points_golden():
     part = kmeans(ds, 2, seed=0)
     assert part.K == 1
     np.testing.assert_array_equal(part.labels, np.zeros(5, dtype=np.int64))
+
+
+def _kmeans_cases():
+    """(points, k) covering d=1, 2 and 4, k=1, k=n, and duplicate points."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for d in (1, 2, 4):
+        for n, k in ((1, 1), (7, 7), (40, 1), (40, 40), (60, 3), (150, 9), (300, 6)):
+            cases.append((rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2), k))
+        for n, k in ((30, 8), (45, 12), (60, 20)):  # few distinct points: empty clusters
+            cases.append((np.round(rng.standard_normal((n, d)), 0), k))
+    # the corners of a square: two groupings tie in WCSS, the first restart's wins
+    cases.append((np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), 2))
+    return cases
+
+
+def _far_init(X, k, rng):
+    """Random data points as centres, the last one far from every point, so
+    that its cluster starts empty and is reseeded."""
+    centers = X[rng.integers(X.shape[0], size=k)]
+    centers[-1] = X.max(axis=0) + 100.0
+    return centers
+
+
+@pytest.mark.parametrize("init", ["kpp", "far"])
+def test_kmeans_matches_sequential_restarts(monkeypatch, init):
+    import kdeval.partitions as pmod
+
+    if init == "far":
+        monkeypatch.setattr(pmod, "_kpp_init", _far_init)
+    reseeds = []  # _lloyd sorts distances only to reseed an empty cluster
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        reseeds.append(1)
+        return argsort(*args, **kwargs)
+
+    oracle_reseeds = tied = 0
+    for case, (X, k) in enumerate(_kmeans_cases()):
+        labels, wcss, runs, hits = kmeans_sequential(
+            X, k, case, restarts=pmod.KMEANS_RESTARTS, max_iter=pmod.KMEANS_MAX_ITER,
+            init=pmod._kpp_init)
+        oracle_reseeds += hits
+        reseeds.clear()
+        monkeypatch.setattr(pmod.np, "argsort", spy)
+        part = kmeans(Dataset(X, id="x"), k, case)
+        monkeypatch.setattr(pmod.np, "argsort", argsort)
+        assert bool(reseeds) == (hits > 0), case
+        expected = canonicalize(labels, source=f"kmeans-k{k}")
+        assert part.same_grouping(expected) and part.source == expected.source, case
+        rng = np.random.default_rng(case)
+        inits = np.stack([pmod._kpp_init(X, k, rng) for _ in range(pmod.KMEANS_RESTARTS)])
+        stacked, values = pmod._lloyd(X, inits)
+        assert min(values) == wcss, case
+        for r, (run_labels, run_wcss) in enumerate(runs):  # every restart, not just the best
+            assert np.array_equal(stacked[r], run_labels) and values[r] == run_wcss, (case, r)
+        tied += len({tuple(canonicalize(lab).labels) for lab, v in runs if v == wcss}) > 1
+    assert oracle_reseeds > 0 and tied > 0
 
 
 def test_kmeans_rejects_bad_k():
@@ -227,6 +285,12 @@ def test_log_gaussians_matches_multivariate_normal_logpdf():
         chols = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d))
         got = _log_gaussians(X, means, chols)
         assert got.shape == (n, k) and got.flags.c_contiguous
+        # the (k, d, n) differences give the bits of the (k, n, d) formula
+        y = np.matmul(np.linalg.inv(chols), (X[None] - means[:, None]).transpose(0, 2, 1))
+        maha = np.einsum("kdn,kdn->kn", y, y)
+        logdet = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        knd = (-0.5 * (maha + logdet[:, None] + d * np.log(2.0 * np.pi))).T
+        assert np.array_equal(got, knd)
         for j in range(k):
             cov = chols[j] @ chols[j].T
             ref = multivariate_normal(means[j], cov).logpdf(X).reshape(n)
