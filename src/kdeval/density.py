@@ -49,9 +49,10 @@ CV_NEIGHBOURS = 16
 # term is 1.
 EXP_CLAMP = -700.0
 
-# Widest rows whose max _logsumexp takes with one np.maximum per column: 3.5x
-# faster than a.max on 16-wide bound rows, 35x slower on 450-wide kernel rows.
-NARROW_WIDTH = 32
+# Widest rows whose max _logsumexp takes with one np.maximum per column, where
+# that beats a.max: 7x faster at widths 4-6 and 1.3-3.5x at 16, but about even
+# at 20-24 and 1.3-1.6x slower at 30-32 (on 400 rows).
+NARROW_WIDTH = 16
 
 # Smallest cluster on which _cv_scores runs the _cv_survivors bound; on smaller
 # ones it costs more than the grid values it rules out.
@@ -70,6 +71,12 @@ class DensityModel:
         return self.training_points.shape[1]
 
 
+def _check_count(name, value, least):
+    """Raise ValueError unless value is an integer (numpy's included, bool not) >= least."""
+    if not (np.issubdtype(type(value), np.integer) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BandwidthSearchSpec:
     """Candidate bandwidths (None: each cluster's auto_search_spec grid), CV
@@ -80,10 +87,8 @@ class BandwidthSearchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.issubdtype(type(self.folds), np.integer) and self.folds >= 2):
-            raise ValueError(f"folds must be an integer >= 2, got {self.folds!r}")
-        if not (np.issubdtype(type(self.seed), np.integer) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _check_count("folds", self.folds, 2)
+        _check_count("seed", self.seed, 0)
         if self.grid is None:
             return
         grid = tuple(float(h) for h in self.grid)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .density import (
     BandwidthSearchSpec,
+    _check_count,
     _log_density_above,
     choose_bandwidth,
     fit_kde,
@@ -70,9 +71,7 @@ class KdiParams:
         if self.similarity_variant not in SIMILARITY:
             raise ValueError(f"similarity_variant must be one of {tuple(SIMILARITY)}")
         for name, least in (("mc_samples", 1), ("min_cluster_size", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if not (np.issubdtype(type(value), np.integer) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _check_count(name, getattr(self, name), least)
         for name, allowed in (("s_v3_center", S_V3_CENTERS), ("s_v3_metric", S_V3_METRICS)):
             value = getattr(self, name)
             if value not in allowed:

@@ -1,7 +1,7 @@
 """Candidate partition generation and canonicalization.
 
-Generators: Lloyd k-means with k-means++ seeding (the restarts run as one
-stacked Lloyd loop), full-covariance Gaussian mixture EM (log-densities from
+Generators: Lloyd k-means with k-means++ seeding (the restarts run in stacked
+Lloyd loops of bounded size), full-covariance Gaussian mixture EM (log-densities from
 inverted Cholesky factors; build_candidates starts its k-means init from the
 k-means candidate at the same k), and agglomerative clustering cut at k for
 the four standard linkages.  All partitions are canonicalized (cluster ids
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import cdist
 
-from .density import _logsumexp
+from .density import KERNEL_BLOCK, _logsumexp
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -137,7 +137,8 @@ def _lloyd(X, centers):
 def kmeans(data, k, seed):
     """Lloyd's algorithm, k-means++ seeding, best of KMEANS_RESTARTS by WCSS
     (the first strict minimum).  Every restart's init is drawn first, then the
-    restarts run as one stacked Lloyd loop (_lloyd).
+    restarts run in stacked Lloyd loops (_lloyd) of as many restarts as keep
+    the (n, restarts * k) distances within KERNEL_BLOCK elements (at least one).
 
     Degenerate data (fewer distinct points than k) yields fewer non-empty
     clusters after repair; canonicalization then reports the actual K.
@@ -147,11 +148,13 @@ def kmeans(data, k, seed):
         raise ValueError(f"k must be in 1..n={X.shape[0]}, got {k}")
     rng = np.random.default_rng(seed)
     centers = np.stack([_kpp_init(X, k, rng) for _ in range(KMEANS_RESTARTS)])
-    labels, wcss = _lloyd(X, centers)
+    stack = max(1, KERNEL_BLOCK // (X.shape[0] * k))
     best_labels, best_wcss = None, np.inf
-    for r, value in enumerate(wcss):
-        if value < best_wcss:
-            best_labels, best_wcss = labels[r], value
+    for r0 in range(0, KMEANS_RESTARTS, stack):
+        labels, wcss = _lloyd(X, centers[r0 : r0 + stack])
+        for r, value in enumerate(wcss):
+            if value < best_wcss:
+                best_labels, best_wcss = labels[r], value
     return canonicalize(best_labels, source=f"kmeans-k{k}")
 
 

@@ -70,12 +70,23 @@ def _far_init(X, k, rng):
     return centers
 
 
-@pytest.mark.parametrize("init", ["kpp", "far"])
-def test_kmeans_matches_sequential_restarts(monkeypatch, init):
+@pytest.mark.parametrize("init,block", [("kpp", None), ("far", None), ("kpp", 1000)],
+                         ids=["kpp", "far", "kpp-small-stacks"])
+def test_kmeans_matches_sequential_restarts(monkeypatch, init, block):
     import kdeval.partitions as pmod
 
     if init == "far":
         monkeypatch.setattr(pmod, "_kpp_init", _far_init)
+    if block is not None:  # restarts split into stacks of 1 to 5, some with a remainder
+        monkeypatch.setattr(pmod, "KERNEL_BLOCK", block)
+    widest = []  # cdist rows times centres, against the bound
+    cdist = pmod.cdist
+
+    def cdist_spy(XA, XB, *args):
+        widest.append(len(XA) * len(XB) / max(pmod.KERNEL_BLOCK, len(XA) * k))
+        return cdist(XA, XB, *args)
+
+    monkeypatch.setattr(pmod, "cdist", cdist_spy)
     reseeds = []  # _lloyd sorts distances only to reseed an empty cluster
     argsort = np.argsort
 
@@ -90,12 +101,14 @@ def test_kmeans_matches_sequential_restarts(monkeypatch, init):
             init=pmod._kpp_init)
         oracle_reseeds += hits
         reseeds.clear()
+        widest.clear()
         monkeypatch.setattr(pmod.np, "argsort", spy)
         part = kmeans(Dataset(X, id="x"), k, case)
         monkeypatch.setattr(pmod.np, "argsort", argsort)
         assert bool(reseeds) == (hits > 0), case
         expected = canonicalize(labels, source=f"kmeans-k{k}")
         assert part.same_grouping(expected) and part.source == expected.source, case
+        assert max(widest) <= 1.0, case
         rng = np.random.default_rng(case)
         inits = np.stack([pmod._kpp_init(X, k, rng) for _ in range(pmod.KMEANS_RESTARTS)])
         stacked, values = pmod._lloyd(X, inits)
