@@ -12,7 +12,7 @@ import os
 import sys
 
 from .config import build_run_config, load_config_file, resolve_config_path
-from .data_io import DataError, load_dataset
+from .data_io import FORMATS, DataError, load_dataset
 from .harness import aggregate_accuracy, calibrate, evaluate_dataset, write_accuracy, write_report
 from .partitions import load_partitions
 
@@ -36,7 +36,7 @@ def _add_common(parser):
     parser.add_argument("--indices", default=None, help="comma list from ch,sc,db,new")
     parser.add_argument("--svg", action="store_true", help="emit top-5 SVG scatter plots")
     parser.add_argument("--variants", action="store_true", help="add variant sub-index columns")
-    parser.add_argument("--format", default=None, choices=["csv", "whitespace", "arff"])
+    parser.add_argument("--format", default=None, choices=FORMATS)
     parser.add_argument("--label-column", type=int, default=None)
     parser.add_argument("--out", default="kdeval_out", help="output directory")
 
@@ -99,10 +99,23 @@ def _load(path, args):
 
 
 def _cmd_evaluate(args):
+    """evaluate; rank is the same run on the partitions in --partitions
+    instead of generated candidates."""
     config = _config_from_args(args)
     dataset = _load(args.dataset, args)
-    report = evaluate_dataset(config, dataset)
+    candidates = None
+    if args.command == "rank":
+        candidates = load_partitions(args.partitions)
+        for part in candidates:
+            if part.n != dataset.n:
+                raise DataError(
+                    f"partition {part.source!r} has {part.n} labels for {dataset.n} points"
+                )
+    report = evaluate_dataset(config, dataset, candidates=candidates)
     write_report(report, args.out, dataset=dataset, emit_svgs=config.emit_svg)
+    if candidates is not None:
+        print(f"{dataset.id}: ranked {len(candidates)} supplied partitions -> {args.out}")
+        return 0
     print(f"{dataset.id}: {len(report.rows)} candidates -> {args.out}")
     for index, flag in report.success.items():
         if flag is None:
@@ -157,8 +170,8 @@ def _cmd_bench(args):
         print(f"accuracy aggregation skipped: {exc}", file=sys.stderr)
         return status
     write_accuracy(table, args.out)
-    for index, (succeeded, total) in table.counts.items():
-        print(f"{index}: {succeeded}/{total}")
+    for index in table.grid:
+        print(f"{index}: {table.summary(index)}")
     return status
 
 
@@ -178,26 +191,11 @@ def _cmd_calibrate(args):
     return 0
 
 
-def _cmd_rank(args):
-    config = _config_from_args(args)
-    dataset = _load(args.dataset, args)
-    candidates = load_partitions(args.partitions)
-    for part in candidates:
-        if part.n != dataset.n:
-            raise DataError(
-                f"partition {part.source!r} has {part.n} labels for {dataset.n} points"
-            )
-    report = evaluate_dataset(config, dataset, candidates=candidates)
-    write_report(report, args.out, dataset=dataset, emit_svgs=config.emit_svg)
-    print(f"{dataset.id}: ranked {len(candidates)} supplied partitions -> {args.out}")
-    return 0
-
-
 COMMANDS = {
     "evaluate": _cmd_evaluate,
     "bench": _cmd_bench,
     "calibrate": _cmd_calibrate,
-    "rank": _cmd_rank,
+    "rank": _cmd_evaluate,
 }
 
 

@@ -7,6 +7,7 @@ index and its adjusted Rand index against the reference partition exceeds
 wall-clock timings go to a separate runtime.txt.
 """
 
+import collections
 import csv
 import dataclasses
 import math
@@ -32,8 +33,6 @@ from .svgplot import emit_svg
 SUCCESS_THRESHOLD = 0.95
 TOP_N = 5
 
-VARIANT_COLUMNS = ("ia_v1", "ia_v2", "ia_v3", "is_v1", "is_v2", "is_v3")
-
 CALIBRATION_DELTAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 CALIBRATION_ALPHAS = (0.5, 1.0, 2.0, 3.0)
 
@@ -55,11 +54,17 @@ class EvaluationReport:
     rows: list
     rankings: dict
     champion_ari: dict
-    success: dict
     warnings: list
     runtime: dict
     snapshot: list
-    candidates: list = None
+    candidates: list
+
+    @property
+    def success(self):
+        """index -> whether its champion's ARI exceeds SUCCESS_THRESHOLD;
+        None without reference labels."""
+        return {index: None if ari is None else ari > SUCCESS_THRESHOLD
+                for index, ari in self.champion_ari.items()}
 
     def top(self, index, count=TOP_N):
         return self.rankings[index][:count]
@@ -118,9 +123,10 @@ def _score_candidate(data, part, config, record, cache):
             w = config.boundary_mix_weight
             scores["new3"] = (1.0 - w) * score.I + w * score.I_b
         if config.include_variants:
-            for column in VARIANT_COLUMNS:
-                table = AMBIGUOUS if column.startswith("ia_") else SIMILARITY
-                scores[column] = table[column[3:]](data, profiles, params)
+            for prefix, table in (("ia_", AMBIGUOUS), ("is_", SIMILARITY)):
+                for name, variant in table.items():
+                    if name != "main":
+                        scores[prefix + name] = variant(data, profiles, params)
         bandwidths = tuple(p.model.bandwidth for p in profiles)
     return scores, bandwidths
 
@@ -172,15 +178,10 @@ def evaluate_dataset(config, dataset, candidates=None):
     n_profiles = sum(len(row.bandwidths) for row in rows)
 
     rankings = {}
-    champion_ari = {}
-    success = {}
     for index in ranked_indices(config):
         direction = DIRECTIONS.get(index, SMALLER_BETTER)
         entries = [(row.scores.get(index), row.K, row.source) for row in rows]
         rankings[index] = rank_candidates(entries, direction)
-        champ = rows[rankings[index][0]]
-        champion_ari[index] = champ.ari
-        success[index] = (champ.ari > SUCCESS_THRESHOLD) if champ.ari is not None else None
 
     return EvaluationReport(
         dataset_id=dataset.id,
@@ -188,8 +189,7 @@ def evaluate_dataset(config, dataset, candidates=None):
         d=dataset.d,
         rows=rows,
         rankings=rankings,
-        champion_ari=champion_ari,
-        success=success,
+        champion_ari={index: rows[order[0]].ari for index, order in rankings.items()},
         warnings=captured,
         runtime={
             "generate_s": t_generate,
@@ -224,7 +224,6 @@ def write_report(report, out_dir, dataset=None, emit_svgs=False):
     report.csv and summary.txt are byte-deterministic; wall-clock timings are
     confined to runtime.txt.
     """
-    candidates = report.candidates
     os.makedirs(out_dir, exist_ok=True)
     score_cols = _score_columns(report)
     rank_cols = list(report.rankings)
@@ -276,16 +275,15 @@ def write_report(report, out_dir, dataset=None, emit_svgs=False):
         for name, value in report.runtime.items():
             fh.write(f"{name}: {value}\n" if isinstance(value, int) else f"{name}: {value:.3f}\n")
 
-    if candidates is not None:
-        save_partitions(os.path.join(out_dir, "candidates"), candidates)
+    save_partitions(os.path.join(out_dir, "candidates"), report.candidates)
 
-    if emit_svgs and dataset is not None and candidates is not None and dataset.d in (2, 3):
+    if emit_svgs and dataset is not None and dataset.d in (2, 3):
         for index in report.rankings:
             for rank, pos in enumerate(report.top(index), start=1):
                 row = report.rows[pos]
                 emit_svg(
                     dataset,
-                    candidates[pos],
+                    report.candidates[pos],
                     os.path.join(out_dir, f"top5_{index}_{rank}.svg"),
                     index_name=index,
                     index_value=row.scores.get(index),
@@ -295,21 +293,29 @@ def write_report(report, out_dir, dataset=None, emit_svgs=False):
 
 @dataclasses.dataclass
 class AccuracyTable:
-    counts: dict  # index -> (succeeded, total)
     grid: dict  # index -> {dataset_id: 'S' | 'F'}
     dataset_ids: list
 
+    @property
+    def counts(self):
+        """index -> (succeeded, total), read off the grid."""
+        return {i: (list(cells.values()).count("S"), len(cells)) for i, cells in self.grid.items()}
+
     def summary(self, index):
-        succeeded, total = self.counts[index]
-        return f"{succeeded}/{total}"
+        return "{}/{}".format(*self.counts[index])
 
 
 def aggregate_accuracy(reports):
     """Aggregate success flags across datasets into per-index counts and an
     S/F grid.  Reports without reference labels are excluded with a warning;
-    an empty (or fully excluded) input is an error."""
+    an empty (or fully excluded) input, and a dataset id shared by two
+    reports, are errors."""
     if not reports:
         raise ValueError("no reports to aggregate")
+    ids = collections.Counter(report.dataset_id for report in reports)
+    repeated = [repr(i) for i, count in ids.items() if count > 1]
+    if repeated:
+        raise ValueError(f"repeated dataset ids: {', '.join(repeated)}")
     usable = []
     for report in reports:
         if any(flag is not None for flag in report.success.values()):
@@ -318,28 +324,19 @@ def aggregate_accuracy(reports):
             warnings.warn(f"report {report.dataset_id} has no reference labels; excluded")
     if not usable:
         raise ValueError("no reports with success flags")
-    indices = list(usable[0].success)
-    counts = {}
-    grid = {index: {} for index in indices}
-    for index in indices:
-        succeeded = 0
-        total = 0
-        for report in usable:
-            flag = report.success.get(index)
-            if flag is None:
-                continue
-            total += 1
-            succeeded += int(flag)
-            grid[index][report.dataset_id] = "S" if flag else "F"
-        counts[index] = (succeeded, total)
-    return AccuracyTable(counts=counts, grid=grid, dataset_ids=[r.dataset_id for r in usable])
+    flags = [(report.dataset_id, report.success) for report in usable]
+    grid = {
+        index: {d: "S" if s[index] else "F" for d, s in flags if s.get(index) is not None}
+        for index in flags[0][1]
+    }
+    return AccuracyTable(grid=grid, dataset_ids=[d for d, _ in flags])
 
 
 def write_accuracy(table, out_dir):
     """Write accuracy.csv (per-index counts) and grid.csv (S/F per dataset)."""
     os.makedirs(out_dir, exist_ok=True)
     accuracy = [("index", "succeeded", "total", "accuracy")]
-    accuracy += [(i, s, t, f"{s}/{t}") for i, (s, t) in table.counts.items()]
+    accuracy += [(i, s, t, table.summary(i)) for i, (s, t) in table.counts.items()]
     grid = [("index", *table.dataset_ids)]
     grid += [(i, *(cells.get(d, "") for d in table.dataset_ids)) for i, cells in table.grid.items()]
     for name, rows in (("accuracy.csv", accuracy), ("grid.csv", grid)):

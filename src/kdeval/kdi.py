@@ -266,26 +266,25 @@ def pairwise_ambiguous(data, profiles, log_matrix=None, pair_local=True):
     return out
 
 
-def ambiguous_v1(data, profiles, log_matrix=None, pair_local=True):
-    """Proportion of cluster pairs whose pairwise ambiguous fraction is positive."""
+def _pair_fractions(data, profiles, pair_local):
+    """The pairwise ambiguous fractions A_ij for i < j; empty below two clusters."""
     k = len(profiles)
     if k < 2:
-        return 0.0
-    a = pairwise_ambiguous(data, profiles, pair_local=pair_local)
-    upper = a[np.triu_indices(k, 1)]
-    return int((upper > 0).sum()) / upper.shape[0]
+        return np.empty(0)
+    return pairwise_ambiguous(data, profiles, pair_local=pair_local)[np.triu_indices(k, 1)]
+
+
+def ambiguous_v1(data, profiles, log_matrix=None, pair_local=True):
+    """Proportion of cluster pairs whose pairwise ambiguous fraction is positive."""
+    upper = _pair_fractions(data, profiles, pair_local)
+    return int((upper > 0).sum()) / upper.size if upper.size else 0.0
 
 
 def ambiguous_v2(data, profiles, log_matrix=None, pair_local=True):
     """Mean of the positive pairwise ambiguous fractions; 0 when none are."""
-    k = len(profiles)
-    if k < 2:
-        return 0.0
-    a = pairwise_ambiguous(data, profiles, pair_local=pair_local)
-    positives = [float(v) for v in a[np.triu_indices(k, 1)] if v > 0]
-    if not positives:
-        return 0.0
-    return math.fsum(positives) / len(positives)
+    upper = _pair_fractions(data, profiles, pair_local)
+    positives = upper[upper > 0].tolist()
+    return math.fsum(positives) / len(positives) if positives else 0.0
 
 
 def ambiguous_v3(data, profiles, mc_samples, seed):

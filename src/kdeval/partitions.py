@@ -358,22 +358,21 @@ def save_partitions(directory, partitions):
 
 
 def load_partitions(directory):
-    """Read a partition directory written by save_partitions (or any directory
-    of one-label-per-line text files; sources then default to the file name)."""
+    """Read a partition directory written by save_partitions (or, without
+    manifest.csv, its *.txt one-label-per-line files in sorted order, each
+    file's stem as its source)."""
     manifest = os.path.join(directory, "manifest.csv")
-    out = []
     if os.path.exists(manifest):
         with open(manifest, "r", encoding="utf-8", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
-        for fname, source, _k in rows[1:]:
-            labels = np.loadtxt(os.path.join(directory, fname), dtype=np.int64, ndmin=1)
-            out.append(canonicalize(labels, source=source))
+        files = [(fname, source) for fname, source, _k in rows[1:]]
     else:
-        for fname in sorted(os.listdir(directory)):
-            if not fname.endswith(".txt"):
-                continue
-            labels = np.loadtxt(os.path.join(directory, fname), dtype=np.int64, ndmin=1)
-            out.append(canonicalize(labels, source=fname.rsplit(".", 1)[0]))
+        names = sorted(os.listdir(directory))
+        files = [(name, name.rsplit(".", 1)[0]) for name in names if name.endswith(".txt")]
+    out = [
+        canonicalize(np.loadtxt(os.path.join(directory, fname), dtype=np.int64, ndmin=1), source)
+        for fname, source in files
+    ]
     if not out:
         raise ValueError(f"no partitions found in {directory}")
     return out

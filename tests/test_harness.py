@@ -154,6 +154,44 @@ def test_aggregate_excludes_unlabeled_with_warning(tmp_path):
     assert (tmp_path / "grid.csv").exists()
 
 
+def test_aggregate_accuracy_rejects_repeated_dataset_ids():
+    ds = _easy_dataset()
+    config = build_run_config(seed=123, k_min=2, k_max=3, indices=("ch",))
+    # the same points under labels that no split into the two blobs matches
+    reports = [
+        evaluate_dataset(config, Dataset(ds.points, labels, id="same"))
+        for labels in (ds.reference_labels, np.arange(ds.n) % 3)
+    ]
+    assert [r.success["ch"] for r in reports] == [True, False]
+    other = evaluate_dataset(config, Dataset(ds.points, ds.reference_labels, id="other"))
+    with pytest.raises(ValueError, match="repeated dataset ids: 'same'"):
+        aggregate_accuracy([reports[0], other, reports[1]])
+
+
+def test_accuracy_totals_equal_the_grid_counts(tmp_path):
+    report = evaluate_dataset(build_run_config(seed=123, k_min=2, k_max=3), _easy_dataset())
+    passed = dict.fromkeys(report.champion_ari, 1.0)
+    # every index succeeds on a and fails on b; on c, sc has no flag
+    reports = [
+        dataclasses.replace(report, dataset_id="a", champion_ari=passed),
+        dataclasses.replace(report, dataset_id="b", champion_ari=dict.fromkeys(passed, 0.0)),
+        dataclasses.replace(report, dataset_id="c", champion_ari={**passed, "sc": None}),
+    ]
+    table = aggregate_accuracy(reports)
+    write_accuracy(table, tmp_path)
+    with open(tmp_path / "grid.csv", newline="") as fh:
+        (_, *ids), *grid = csv.reader(fh)
+    with open(tmp_path / "accuracy.csv", newline="") as fh:
+        _, *accuracy = csv.reader(fh)
+    assert ids == ["a", "b", "c"]
+    assert [row[0] for row in accuracy] == [row[0] for row in grid] == list(report.rankings)
+    for (index, succeeded, total, text), (_, *cells) in zip(accuracy, grid):
+        assert int(succeeded) == cells.count("S")
+        assert int(total) == cells.count("S") + cells.count("F")
+        assert text == f"{succeeded}/{total}" == table.summary(index)
+        assert cells == (["S", "F", ""] if index == "sc" else ["S", "F", "S"])
+
+
 def test_emit_svg_two_points(tmp_path):
     ds = Dataset([[0.0, 0.0], [1.0, 1.0]], id="two")
     part = canonicalize([0, 1])
@@ -638,6 +676,36 @@ def test_variant_columns_and_boundary_mix():
         }
         for col, value in expected.items():
             assert row.scores[col] == value, (part.source, col)
+
+
+def test_cli_variant_columns_follow_new_ib(tmp_path):
+    data_path = tmp_path / "easy.csv"
+    save_dataset_csv(_easy_dataset(), data_path)
+    out = tmp_path / "o"
+    assert cli.main(["evaluate", str(data_path), "--label-column", "-1", "--k-min", "2",
+                     "--k-max", "2", "--seed", "1", "--variants", "--out", str(out)]) == 0
+    with open(out / "report.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    start = header.index("new_ib")
+    assert header[start:start + 8] == [
+        "new_ib", "ia_v1", "ia_v2", "ia_v3", "is_v1", "is_v2", "is_v3", "ari"
+    ]
+
+
+def test_cli_rank_with_a_short_manifest_row_is_data_error(tmp_path, capsys):
+    ds = _easy_dataset()
+    data_path = tmp_path / "easy.csv"
+    save_dataset_csv(ds, data_path)
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    np.savetxt(parts / "p.txt", ds.reference_labels, fmt="%d")
+    (parts / "manifest.csv").write_text("file,source,k\np.txt,reference\n")
+    args = ["rank", str(data_path), "--partitions", str(parts), "--seed", "1",
+            "--out", str(tmp_path / "o")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("data error: not enough values to unpack")
+    (parts / "manifest.csv").write_text("file,source,k\np.txt,reference,2\n")
+    assert cli.main(args) == 0
 
 
 def test_cli_exit_codes(tmp_path):

@@ -286,6 +286,16 @@ def test_partition_serialization_round_trip(tmp_path):
         assert loaded.source == orig.source
 
 
+def test_load_partitions_without_manifest_reads_sorted_txt_files(tmp_path):
+    (tmp_path / "b.txt").write_text("5\n5\n7\n")
+    (tmp_path / "a.b.txt").write_text("1\n0\n1\n")
+    (tmp_path / "c.csv").write_text("0\n1\n2\n")
+    (tmp_path / "d.txt.bak").write_text("0\n1\n2\n")
+    parts = load_partitions(tmp_path)
+    assert [p.source for p in parts] == ["a.b", "b"]
+    assert [p.labels.tolist() for p in parts] == [[0, 1, 0], [0, 0, 1]]
+
+
 def test_log_gaussians_matches_multivariate_normal_logpdf():
     from scipy.stats import multivariate_normal
 
