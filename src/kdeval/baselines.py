@@ -65,23 +65,32 @@ def calinski_harabasz(data, partition):
     return IndexScore("ch", value, HIGHER_BETTER)
 
 
-def silhouette(data, partition):
+def silhouette(data, partition, sums=None):
     """Mean per-sample silhouette (b - a) / max(a, b).
 
     a is the mean distance to the sample's own cluster (excluding itself), b
     the smallest mean distance to another cluster.  Samples in singleton
     clusters contribute 0, as do samples with a = b = 0.  Memory is one
-    (cluster size x n) distance block at a time.
+    (cluster size x n) distance block at a time.  sums, a dict owned by the
+    caller and used for one dataset only, keeps each cluster's distance sums
+    by member-index bytes, so a cluster that another partition already has
+    costs no distance block.
     """
     X, labels, K = _check_inputs(data, partition)
     n = X.shape[0]
     if K < 2 or K > n - 1:
         raise UndefinedScoreError(f"silhouette needs 2 <= K <= n-1, got K={K}, n={n}")
     sizes = np.bincount(labels, minlength=K)
-    # per-sample distance sums to each cluster: axis 0, as the transpose sums in another order
-    cluster_sums = np.column_stack(
-        [cdist(members, X).sum(axis=0) for members in _cluster_members(X, labels, K)]
-    )
+    sums = {} if sums is None else sums
+    columns = []
+    for q in range(K):
+        idx = np.flatnonzero(labels == q)
+        key = idx.tobytes()
+        if key not in sums:
+            # per-sample distance sums: axis 0, as the transpose sums in another order
+            sums[key] = cdist(X[idx], X).sum(axis=0)
+        columns.append(sums[key])
+    cluster_sums = np.column_stack(columns)
     rows = np.arange(n)
     own_size = sizes[labels]
     a = cluster_sums[rows, labels] / np.maximum(own_size - 1, 1)

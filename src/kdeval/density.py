@@ -8,8 +8,12 @@ from the one kernel, _log_kde, whose blocked log-sum-exp (_lse_blocks) the
 CV bound shares.  Bandwidths come from a cross-validated grid search, with a
 Scott-style fallback for clusters too small to cross-validate; on clusters
 of at least CV_BOUND_MIN points the search evaluates only the grid values
-that a nearest-neighbour bound cannot rule out.  Monte-Carlo territory tests
-skip the queries that cannot reach a territory.
+that a nearest-neighbour bound cannot rule out.  The bound reads each
+member's nearest points from lists that one cKDTree query makes for a whole
+dataset (_neighbour_lists; a cluster searched on its own is its own dataset),
+so a listed point may lie outside the cluster, and then it counts like a
+point of the member's own fold.  Monte-Carlo territory tests skip the queries
+that cannot reach a territory.
 """
 
 import math
@@ -206,59 +210,94 @@ def log_density(model, x):
     return float(log_density_many(model, x.reshape(1, -1))[0])
 
 
-def _cv_survivors(pts, folds, grid):
-    """Mask of the grid values (a (g, 1) array) whose CV score over the folds
-    (index arrays) a nearest-neighbour bound cannot rule out.
+def _neighbour_lists(points):
+    """Each point's min(CV_NEIGHBOURS, n) nearest points among the (n, d)
+    points, itself included: (squared distances, indices), each (n, k), from
+    one cKDTree query."""
+    dist, near = cKDTree(points).query(points, k=min(CV_NEIGHBOURS, len(points)))
+    return dist * dist, near
 
-    One cKDTree query lists each point's CV_NEIGHBOURS nearest points, those in
-    its own fold set to +inf.  The kernel's log-sum-exp over them bounds each
-    held-out log-sum-exp below, and adding every unlisted training point at the
-    last listed distance bounds it above; summed, lb and ub bound each value's
-    score (each point's value at least UNDERFLOW_PENALTY).  A value is ruled
-    out when ub < best - 1 - 1e-6 * (|ub| + |best|), best the highest lb.
 
-    Why the slack suffices: the clamp at EXP_CLAMP raises each lower sum by
-    at most CV_NEIGHBOURS * e^-700 of its largest term (1.6e-303 nat).
-    Rounding moves each computed value and each bound term by a few ulps of
-    its shift d^2/2h^2, norm and count logs.  The shifts all have one sign, so
-    their sum is within |ub| + |best| plus the norms, and those are below 2e4
-    per point because only values whose 2h^2 is a normal float are bounded
-    (and only if no listed squared distance exceeds 1e300, so the kernel's
-    stay finite).  The gap is thus below 1e-6 * (|ub| + |best|) plus 1e-9 nat
-    per point, within the slack below 1e9 points, so a ruled-out value scores
-    strictly below the best: it is never the argmax.  The value with the best
-    lb (its ub is at least its lb) always survives.
+def _member_rows(lists, idx):
+    """The rows of _neighbour_lists' lists for the member indices idx, each
+    listed point given as its position in idx, or -1 when it is not a member
+    (or missing: the tree lists a missing neighbour as index n, at distance inf)."""
+    sq, near = lists
+    position = np.full(len(sq) + 1, -1)
+    position[idx] = np.arange(len(idx))
+    return sq[idx], position[near[idx]]
+
+
+def _cv_bounds(pts, folds, grid, neighbours=None):
+    """(lower, upper) bounds on the CV score over the folds (index arrays) of
+    each grid value (a (g, 1) array); -inf and inf where they are not computed.
+
+    neighbours() gives each point's rows of a dataset's neighbour lists (see
+    _member_rows); None lists the points as their own dataset.  Listed points
+    outside the cluster and those in the point's own fold are set to +inf.
+    The kernel's log-sum-exp over the rest, the listed training points, bounds
+    each held-out log-sum-exp below.  Every unlisted training point is a
+    dataset point that the list passed over, so it lies at least the last
+    listed distance d_K away; adding each of them at d_K bounds the
+    log-sum-exp above.  Summed, lb and ub bound each value's score (each
+    point's value at least UNDERFLOW_PENALTY).  Only values whose 2h^2 is a
+    normal float are bounded, and only if no point's last listed squared
+    distance exceeds 1e300, so that the kernel's stay finite.
     """
     m, d = pts.shape
-    dist, near = cKDTree(pts).query(pts, k=min(CV_NEIGHBOURS, m))
-    sq = dist * dist
-    if not sq[:, -1].max() <= 1e300:  # also catches inf, listed by the tree as index m
-        return np.ones(len(grid), dtype=bool)
-    fold = np.empty(m, dtype=np.intp)
+    lower = np.full(len(grid), -np.inf)
+    upper = np.full(len(grid), np.inf)
+    sq, near = _neighbour_lists(pts) if neighbours is None else neighbours()
+    if not sq[:, -1].max() <= 1e300:  # also catches inf
+        return lower, upper
+    fold = np.full(m + 1, -1)  # a non-member (listed as -1) reads fold[m] = -1
     for f, held in enumerate(folds):
         fold[held] = f
-    own = fold[near] == fold[:, None]
-    train = m - np.bincount(fold)[fold]
-    rest = train - np.count_nonzero(~own, axis=1)
-    listed = np.where(own, np.inf, sq)
-    lower = _lse_blocks(lambda r0, r1: listed[r0:r1], m, sq.shape[1], grid[:, 0])
+    listed_fold = fold[near]
+    counted = (listed_fold >= 0) & (listed_fold != fold[:m, None])
+    train = m - np.bincount(fold[:m])[fold[:m]]
+    rest = train - np.count_nonzero(counted, axis=1)
+    listed = np.where(counted, sq, np.inf)
+    lb = _lse_blocks(lambda r0, r1: listed[r0:r1], m, sq.shape[1], grid[:, 0])
     with np.errstate(all="ignore"):
         c = 2.0 * grid * grid
-        upper = np.logaddexp(lower, np.log(rest) - sq[:, -1] / c)
+        ub = np.logaddexp(lb, np.log(rest) - sq[:, -1] / c)
         norm = np.log(train) + d * np.log(grid) + 0.5 * d * LOG_2PI
-        lower = (lower - norm).sum(axis=1)
-        upper = np.maximum(upper - norm, UNDERFLOW_PENALTY).sum(axis=1)
+        lb = (lb - norm).sum(axis=1)
+        ub = np.maximum(ub - norm, UNDERFLOW_PENALTY).sum(axis=1)
     usable = np.isfinite(c[:, 0]) & (c[:, 0] >= np.finfo(np.float64).tiny)
-    lower = np.where(usable, lower / len(folds), -np.inf)
-    upper = np.where(usable, upper / len(folds), np.inf)
+    lower[usable] = lb[usable] / len(folds)
+    upper[usable] = ub[usable] / len(folds)
+    return lower, upper
+
+
+def _cv_survivors(pts, folds, grid, neighbours=None):
+    """Mask of the grid values whose CV score _cv_bounds cannot rule out:
+    a value is ruled out when ub < best - 1 - 1e-6 * (|ub| + |best|), best the
+    highest lb.
+
+    Why the slack suffices: the clamp at EXP_CLAMP raises each lower sum by
+    at most CV_NEIGHBOURS * e^-700 of its largest term (1.6e-303 nat), the
+    +inf entries of non-members and own-fold points among them.  Rounding
+    moves each computed value and each bound term by a few ulps of its shift
+    d^2/2h^2, norm and count logs.  The shifts all have one sign, so their sum
+    is within |ub| + |best| plus the norms, and those are below 2e4 per point
+    because only values whose 2h^2 is a normal float are bounded.  The gap is
+    thus below 1e-6 * (|ub| + |best|) plus 1e-9 nat per point, within the
+    slack below 1e9 points, so a ruled-out value scores strictly below the
+    best: it is never the argmax.  The value with the best lb (its ub is at
+    least its lb) always survives.
+    """
+    lower, upper = _cv_bounds(pts, folds, grid, neighbours)
     best = lower.max()
     return ~(upper < best - 1.0 - 1e-6 * (np.abs(upper) + abs(best)))
 
 
-def _cv_scores(pts, spec):
+def _cv_scores(pts, spec, neighbours=None):
     """CV score of each value of spec.grid: the mean over folds of the summed
     held-out log-densities, or -inf for a value that _cv_survivors rules out
-    (it runs from CV_BOUND_MIN points on and never rules out the argmax).
+    (it runs from CV_BOUND_MIN points on, on the neighbours lists, and never
+    rules out the argmax).
     Folds are a seeded shuffle of the points; one kernel call per fold covers
     the surviving values.  Each bandwidth row of _log_kde depends on its own h
     alone, so their scores keep their bits."""
@@ -266,7 +305,7 @@ def _cv_scores(pts, spec):
     grid = np.asarray(spec.grid)[:, None]
     keep = np.ones(len(grid), dtype=bool)
     if pts.shape[0] >= CV_BOUND_MIN:
-        keep = _cv_survivors(pts, folds, grid)
+        keep = _cv_survivors(pts, folds, grid, neighbours)
     sums = np.full((len(grid), spec.folds), -np.inf)
     for f, held in enumerate(folds):
         ll = _log_kde(pts[held], np.delete(pts, held, axis=0), grid[keep, 0])
@@ -274,12 +313,14 @@ def _cv_scores(pts, spec):
     return sums.mean(axis=1)
 
 
-def select_bandwidth(points, spec):
+def select_bandwidth(points, spec, neighbours=None):
     """Pick the bandwidth in spec.grid maximizing held-out log-likelihood (see
     _cv_scores).  Ties (and near-ties are not special-cased) resolve toward
     the larger bandwidth.  Grid values that a nearest-neighbour bound rules
     out are not evaluated; they can never be the maximum, so the choice is
-    the exhaustive search's.  A one-value grid is returned as it is.
+    the exhaustive search's.  neighbours() gives the points' rows of their
+    dataset's neighbour lists (see _member_rows); None: the points are the
+    dataset.  A one-value grid is returned as it is.
 
     Raises ValueError when spec has no grid (choose_bandwidth resolves the
     auto grid) or when there are fewer points than folds; callers fall back
@@ -293,7 +334,7 @@ def select_bandwidth(points, spec):
     m = pts.shape[0]
     if m < spec.folds:
         raise ValueError(f"need at least {spec.folds} points for {spec.folds}-fold CV, got {m}")
-    scores = _cv_scores(pts, spec)
+    scores = _cv_scores(pts, spec, neighbours)
     return spec.grid[np.flatnonzero(scores == scores.max())[-1]]
 
 
@@ -338,15 +379,15 @@ def auto_search_spec(points, folds=DEFAULT_FOLDS, seed=0):
     return BandwidthSearchSpec(grid=tuple(grid), folds=folds, seed=seed)
 
 
-def choose_bandwidth(points, spec=None):
+def choose_bandwidth(points, spec=None, neighbours=None):
     """Bandwidth for one cluster: CV grid search when feasible, otherwise the
     fallback rule.  A spec without a grid (None: the default spec) searches
     the cluster's scale-relative grid; a one-value grid pins every cluster.
-    The one place that picks the route."""
+    neighbours reaches select_bandwidth.  The one place that picks the route."""
     pts = _as_points(points)
     spec = BandwidthSearchSpec() if spec is None else spec
     if spec.grid is None:
         spec = auto_search_spec(pts, folds=spec.folds, seed=spec.seed)
     if spec is None or (pts.shape[0] < spec.folds and len(spec.grid) > 1):
         return fallback_bandwidth(pts)
-    return select_bandwidth(pts, spec)
+    return select_bandwidth(pts, spec, neighbours)

@@ -10,10 +10,13 @@ wall-clock timings go to a separate runtime.txt.
 import collections
 import csv
 import dataclasses
+import functools
 import math
 import os
 import time
 import warnings
+
+import numpy as np
 
 from .baselines import (
     DIRECTIONS,
@@ -26,6 +29,7 @@ from .baselines import (
     silhouette,
 )
 from .config import config_snapshot, save_params_config
+from .density import _member_rows, _neighbour_lists
 from .kdi import AMBIGUOUS, SIMILARITY, fit_profiles, kdi_index
 from .partitions import build_candidates, save_partitions
 from .svgplot import emit_svg
@@ -93,17 +97,57 @@ def rank_candidates(entries, direction):
 
 def _candidates(config, dataset):
     """Every configured generator for every k in the config range, clamped
-    to n (see build_candidates)."""
+    to n (see build_candidates); a ValueError when no k of the range is at
+    most n."""
+    if config.k_min > dataset.n:
+        raise ValueError(f"k range {config.k_min}..{config.k_max} has no k <= n={dataset.n}")
     k_hi = min(config.k_max, dataset.n)
     return build_candidates(dataset, range(config.k_min, k_hi + 1), config.seed, config.generators)
 
 
-def _score_candidate(data, part, config, record, cache):
-    """Fill one CandidateResult's score columns, recording failures.  cache is
-    the dataset's profile cache (see fit_profiles)."""
+class _ClusterStore:
+    """The per-cluster values that every candidate of one dataset reads: the
+    density fits (fit_profiles' cache) and the silhouette distance sums, each
+    keyed by member-index bytes, and the bandwidth CV's neighbour lists from
+    one query over the whole dataset, made when a cluster first runs the CV
+    bound.  A cluster's sums are dropped after the last of the candidates
+    that has it (release)."""
+
+    def __init__(self, points, candidates=()):
+        self.points = points
+        self.fits = {}
+        self.sums = {}
+        self._lists = None
+        # hash of member-index bytes -> position of the last candidate with that
+        # cluster; hashes, not the bytes, keep it small, and a collision only
+        # keeps a cluster's sums longer
+        self._last = {}
+        for pos, part in enumerate(candidates):
+            for q in range(part.K):
+                self._last[hash(np.flatnonzero(part.labels == q).tobytes())] = pos
+
+    def release(self, pos):
+        """Drop the silhouette sums of the clusters that candidate pos is the last to have."""
+        for key in [key for key in self.sums if self._last[hash(key)] == pos]:
+            del self.sums[key]
+
+    def neighbours(self, idx):
+        """The rows of the members idx in the dataset's neighbour lists."""
+        if self._lists is None:
+            self._lists = _neighbour_lists(self.points)
+        return _member_rows(self._lists, idx)
+
+    def profiles(self, data, part, params, spec):
+        return fit_profiles(data, part, params, spec, cache=self.fits, neighbours=self.neighbours)
+
+
+def _score_candidate(data, part, config, record, store):
+    """Fill one CandidateResult's score columns, recording failures.  store is
+    the dataset's _ClusterStore."""
     scores = {}
     bandwidths = ()
-    for name, fn in (("ch", calinski_harabasz), ("sc", silhouette), ("db", davies_bouldin)):
+    sc = functools.partial(silhouette, sums=store.sums)
+    for name, fn in (("ch", calinski_harabasz), ("sc", sc), ("db", davies_bouldin)):
         if name not in config.indices:
             continue
         try:
@@ -113,7 +157,7 @@ def _score_candidate(data, part, config, record, cache):
             record(f"{name} undefined for {part.source}: {exc}")
     if "new" in config.indices:
         params = config.kdi_params
-        profiles = fit_profiles(data, part, params, config.bw_spec(), cache=cache)
+        profiles = store.profiles(data, part, params, config.bw_spec())
         score = kdi_index(data, part, params, profiles=profiles)
         scores["new"] = score.I
         scores["new_ia"] = score.I_a
@@ -147,7 +191,8 @@ def evaluate_dataset(config, dataset, candidates=None):
     when the dataset has labels.  Index or generator failures on individual
     candidates become warnings; with no candidate at all, the ValueError lists
     the distinct warnings.  Candidates that share a cluster share its density
-    fit (one profile cache per call).
+    fit and silhouette distance sums (one _ClusterStore per call, dropped on
+    return).
     """
     captured = []
     t0 = time.monotonic()
@@ -164,9 +209,10 @@ def evaluate_dataset(config, dataset, candidates=None):
     reference = dataset.reference_labels
     t0 = time.monotonic()
     rows = []
-    cache = {}
-    for part in candidates:
-        scores, bandwidths = _score_candidate(dataset, part, config, captured.append, cache)
+    store = _ClusterStore(dataset.points, candidates)
+    for pos, part in enumerate(candidates):
+        scores, bandwidths = _score_candidate(dataset, part, config, captured.append, store)
+        store.release(pos)
         ari = adjusted_rand_index(part, reference) if reference is not None else None
         rows.append(
             CandidateResult(
@@ -194,8 +240,8 @@ def evaluate_dataset(config, dataset, candidates=None):
         runtime={
             "generate_s": t_generate,
             "score_s": t_score,
-            "profile_fits": len(cache),
-            "profile_cache_hits": n_profiles - len(cache),
+            "profile_fits": len(store.fits),
+            "profile_cache_hits": n_profiles - len(store.fits),
         },
         snapshot=config_snapshot(config),
         candidates=list(candidates),
@@ -363,11 +409,11 @@ def calibrate(config, training_datasets, out_path=None):
     for ds in training_datasets:
         candidates = _candidates(config, ds)
         aris = [adjusted_rand_index(part, ds.reference_labels) for part in candidates]
-        cache = {}
+        store = _ClusterStore(ds.points)
         for alpha in CALIBRATION_ALPHAS:
             swept = dataclasses.replace(base, alpha1=alpha, alpha2=alpha)
             scores = [
-                kdi_index(ds, part, swept, profiles=fit_profiles(ds, part, swept, spec, cache=cache))
+                kdi_index(ds, part, swept, profiles=store.profiles(ds, part, swept, spec))
                 for part in candidates
             ]
             for delta in CALIBRATION_DELTAS:

@@ -11,6 +11,7 @@ Cross-cluster reductions use math.fsum so scores are bit-identical under any
 relabeling of the clusters.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,7 +119,7 @@ def _territory(g, spread, p):
     return (lo - p.alpha1 * spread, hi + p.alpha2 * spread)
 
 
-def fit_profiles(data, partition, params, bw_spec=None, cache=None):
+def fit_profiles(data, partition, params, bw_spec=None, cache=None, neighbours=None):
     """Fit one density profile per cluster.
 
     Bandwidths come from choose_bandwidth under bw_spec (None: the auto grid
@@ -130,7 +131,11 @@ def fit_profiles(data, partition, params, bw_spec=None, cache=None):
     cache, a dict owned by the caller and used for one dataset only, maps
     (member index bytes, spec) to the fitted (model, column); a cluster that
     another partition of the same dataset already has is not fitted again.
-    The territories are always rebuilt from params.
+    The territories are always rebuilt from params.  neighbours, a callable
+    owned by the caller with the cache, maps a cluster's member indices to its
+    rows of the dataset's neighbour lists (density._member_rows), so that the
+    CV bound reads one dataset-wide query; it is called only by clusters that
+    run the bound.  Without it each such cluster lists its own neighbours.
     """
     X = data.points
     labels = partition.labels
@@ -144,7 +149,8 @@ def fit_profiles(data, partition, params, bw_spec=None, cache=None):
         key = (idx.tobytes(), spec)
         if key not in cache:
             pts = X[idx]
-            model = fit_kde(pts, choose_bandwidth(pts, spec))
+            rows = None if neighbours is None else functools.partial(neighbours, idx)
+            model = fit_kde(pts, choose_bandwidth(pts, spec, neighbours=rows))
             column = log_density_many(model, X)
             # shared by every partition with this cluster: fail loudly on a write
             model.training_points.flags.writeable = False

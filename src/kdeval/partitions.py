@@ -141,7 +141,9 @@ def kmeans(data, k, seed):
     the (n, restarts * k) distances within KERNEL_BLOCK elements (at least one).
 
     Degenerate data (fewer distinct points than k) yields fewer non-empty
-    clusters after repair; canonicalization then reports the actual K.
+    clusters after repair; canonicalization then reports the actual K.  A
+    ValueError is raised when no restart's WCSS is finite (coordinates so
+    large that it overflows).
     """
     X = data.points
     if not 1 <= k <= X.shape[0]:
@@ -155,6 +157,8 @@ def kmeans(data, k, seed):
         for r, value in enumerate(wcss):
             if value < best_wcss:
                 best_labels, best_wcss = labels[r], value
+    if best_labels is None:
+        raise ValueError(f"no k-means restart has a finite WCSS (got {value})")
     return canonicalize(best_labels, source=f"kmeans-k{k}")
 
 
@@ -350,8 +354,7 @@ def save_partitions(directory, partitions):
     for i, part in enumerate(partitions):
         fname = f"partition_{i:03d}.txt"
         with open(os.path.join(directory, fname), "w", encoding="utf-8") as fh:
-            for label in part.labels:
-                fh.write(f"{int(label)}\n")
+            fh.write("".join(f"{label}\n" for label in part.labels.tolist()))
         rows.append((fname, part.source, part.K))
     with open(os.path.join(directory, "manifest.csv"), "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -116,6 +116,29 @@ def test_silhouette_reads_one_cluster_block_at_a_time(monkeypatch):
         assert ds.n not in block_rows
 
 
+def test_silhouette_sums_one_block_per_distinct_cluster(monkeypatch):
+    block_rows = []
+    cdist = baselines.cdist
+
+    def recording(xa, xb, *args, **kwargs):
+        block_rows.append(np.shape(xa)[0])
+        return cdist(xa, xb, *args, **kwargs)
+
+    rng = np.random.default_rng(9)
+    ds = Dataset(rng.standard_normal((90, 2)), id="store")
+    base = rng.integers(0, 4, ds.n)
+    # partitions that share clusters: merges of the base grouping, and the base again
+    merged = (base, np.minimum(base, 2), np.minimum(base, 1), np.where(base == 3, 0, base), base)
+    parts = [canonicalize(labels) for labels in merged]
+    alone = [silhouette(ds, part).value for part in parts]
+    monkeypatch.setattr(baselines, "cdist", recording)
+    sums = {}
+    stored = [silhouette(ds, part, sums=sums).value for part in parts]
+    assert stored == alone
+    distinct = {np.flatnonzero(p.labels == q).tobytes() for p in parts for q in range(p.K)}
+    assert len(block_rows) == len(sums) == len(distinct) < sum(p.K for p in parts)
+
+
 def test_db_hand_value():
     assert davies_bouldin(PAIR_DATA, PAIR_PART).value == pytest.approx(0.1, abs=1e-12)
 

@@ -277,6 +277,80 @@ def test_select_bandwidth_matches_exhaustive_argmax():
     assert ruled_out > 0
 
 
+def test_cv_bound_on_dataset_neighbour_lists_matches_exhaustive_argmax(monkeypatch):
+    # Clusters embedded in larger datasets, bounded from one neighbour query
+    # over the whole dataset: a blob next to an overlapping blob, clusters
+    # interleaved with the other points (most listed neighbours lie outside
+    # the cluster), and rounded coordinates with every point twinned (tied
+    # distances across the cluster's edge), at scales from 1e-3 to 1e3 and at
+    # 1e-170, 1e150 and 1e155.  The bound runs on every cluster, and its lower
+    # and upper bounds bracket every exhaustive score within rounding.
+    monkeypatch.setattr(density, "CV_BOUND_MIN", 0)
+    rng = np.random.default_rng(47)
+    layouts = ("blob", "interleaved", "ties")
+    extreme = (1e-170, 1e150, 1e155)
+    ruled_out = dict.fromkeys(layouts, 0)
+    for case in range(240):
+        layout = layouts[case % 3]
+        d = int(rng.integers(1, 5))
+        folds = int(rng.integers(2, 8))
+        n = int(rng.integers(60, 400))
+        X = rng.standard_normal((n, d))
+        if layout == "blob":
+            X[n // 2 :] += 3.0
+            idx = np.arange(n // 2)
+        elif layout == "interleaved":
+            idx = np.flatnonzero(rng.random(n) < rng.uniform(0.3, 0.9))
+        else:
+            X = np.round(X, 1)
+            X[n // 2 :] = X[: n - n // 2]
+            idx = np.flatnonzero(rng.random(n) < 0.5)
+        if len(idx) < folds:
+            continue
+        scale = extreme[case // 3 % 3] if case % 10 == 9 else 10.0 ** rng.uniform(-3, 3)
+        X *= scale
+        pts = X[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            spec = auto_search_spec(pts, folds=folds, seed=case)
+            lists = density._neighbour_lists(X)
+        if spec is None or not np.all(np.isfinite(spec.grid)):
+            grid = scale * np.geomspace(0.01, 10.0, GRID_SIZE)
+            spec = BandwidthSearchSpec(tuple(grid), folds, case)
+
+        def rows():
+            return density._member_rows(lists, idx)
+
+        with np.errstate(over="ignore"):  # 2h^2 overflows at 1e155
+            scores = _cv_scores(pts, spec, rows)
+            full = _cv_scores_exhaustive(pts, spec)
+            chosen = select_bandwidth(pts, spec, rows)
+            split = np.array_split(np.random.default_rng(case).permutation(len(idx)), folds)
+            lower, upper = density._cv_bounds(pts, split, np.asarray(spec.grid)[:, None], rows)
+        tol = 1e-6 * (np.abs(full) + 1.0) + 1e-9 * len(idx)
+        assert np.all(lower <= full + tol) and np.all(full <= upper + tol), case
+        kept = scores > -np.inf
+        assert np.array_equal(scores[kept].view(np.uint64), full[kept].view(np.uint64)), case
+        assert np.all(full[~kept] < full.max()), case
+        assert chosen == spec.grid[np.flatnonzero(full == full.max())[-1]], case
+        ruled_out[layout] += int((~kept).sum())
+    assert min(ruled_out.values()) > 0, ruled_out
+
+
+def test_member_rows_mark_non_members():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((50, 2))
+    idx = np.flatnonzero(rng.random(50) < 0.4)
+    lists = density._neighbour_lists(X)
+    sq, near = density._member_rows(lists, idx)
+    assert np.array_equal(sq, lists[0][idx])
+    members = near >= 0
+    assert np.array_equal(idx[near[members]], lists[1][idx][members])
+    assert not np.isin(lists[1][idx][~members], idx).any()
+    # a cluster searched on its own lists its neighbours among its members only
+    alone_sq, alone_near = density._neighbour_lists(X[idx])
+    assert alone_near.min() >= 0 and np.all(alone_sq[:, -1] >= sq[:, -1])
+
+
 def test_cv_evaluates_fewer_than_half_the_grid(monkeypatch):
     calls = []
     log_kde = density._log_kde
@@ -563,9 +637,9 @@ def test_cv_bound_runs_only_from_cv_bound_min_points(monkeypatch):
     calls = []
     survivors = density._cv_survivors
 
-    def spy(pts, folds, grid):
+    def spy(pts, folds, grid, neighbours=None):
         calls.append(len(pts))
-        return survivors(pts, folds, grid)
+        return survivors(pts, folds, grid, neighbours)
 
     monkeypatch.setattr(density, "_cv_survivors", spy)
     gate = density.CV_BOUND_MIN

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdeval import cli, harness, kdi
+from kdeval import baselines, cli, density, harness, kdi
 from kdeval.baselines import HIGHER_BETTER, SMALLER_BETTER
 from kdeval.config import (
     ENV_CONFIG,
@@ -327,9 +327,9 @@ def _count_bandwidth_choices(monkeypatch):
     """Record the points of every choose_bandwidth call that kdi makes."""
     calls = []
 
-    def counting(points, spec=None):
+    def counting(points, spec=None, neighbours=None):
         calls.append(points.tobytes())
-        return choose_bandwidth(points, spec)
+        return choose_bandwidth(points, spec, neighbours)
 
     monkeypatch.setattr(kdi, "choose_bandwidth", counting)
     return calls
@@ -352,6 +352,60 @@ def test_one_bandwidth_choice_per_distinct_cluster(monkeypatch, tmp_path):
     lines = (tmp_path / "runtime.txt").read_text().splitlines()
     assert f"profile_fits: {distinct}" in lines
     assert f"profile_cache_hits: {len(clusters) - distinct}" in lines
+
+
+def test_cluster_store_makes_one_neighbour_query_per_dataset(monkeypatch):
+    queries = []
+    lists = harness._neighbour_lists
+
+    def counting(points):
+        queries.append(len(points))
+        return lists(points)
+
+    def standalone(points):
+        raise AssertionError("a cluster queried its own neighbours")
+
+    blocks = []
+    cdist = baselines.cdist
+
+    def recording(xa, xb, *args, **kwargs):
+        blocks.append(np.shape(xa)[0])
+        return cdist(xa, xb, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_neighbour_lists", counting)
+    monkeypatch.setattr(density, "_neighbour_lists", standalone)
+    monkeypatch.setattr(baselines, "cdist", recording)
+    config = build_run_config(seed=2, k_min=2, k_max=3, indices=("sc", "new"))
+    # two clusters of 200 points run the CV bound; clusters of 20 do not
+    big = make_blobs(2, 200, [(0, 0), (8, 0)], sigma=1.0, seed=5)
+    small = make_blobs(3, 20, [(0, 0), (6, 0), (0, 6)], sigma=0.8, seed=3)
+    for ds, expected in ((big, [400]), (small, [])):
+        queries.clear()
+        blocks.clear()
+        report = evaluate_dataset(config, ds)
+        assert queries == expected
+        # one silhouette block per distinct cluster, although released sums are dropped
+        assert len(blocks) == len(set(_member_sets(report.candidates)))
+    # the bandwidths are those of clusters searched on their own
+    monkeypatch.setattr(density, "_neighbour_lists", lists)
+    for row, part in zip(report.rows, report.candidates):
+        alone = fit_profiles(small, part, config.kdi_params, config.bw_spec())
+        assert row.bandwidths == tuple(p.model.bandwidth for p in alone)
+    report = evaluate_dataset(config, big)
+    for row, part in zip(report.rows, report.candidates):
+        alone = fit_profiles(big, part, config.kdi_params, config.bw_spec())
+        assert row.bandwidths == tuple(p.model.bandwidth for p in alone)
+
+
+def test_cluster_store_drops_sums_after_their_last_candidate():
+    ds = make_blobs(3, 20, [(0, 0), (6, 0), (0, 6)], sigma=0.8, seed=3)
+    candidates = harness._candidates(build_run_config(seed=2, k_min=2, k_max=5), ds)
+    store = harness._ClusterStore(ds.points, candidates)
+    for pos, part in enumerate(candidates):
+        baselines.silhouette(ds, part, sums=store.sums)
+        store.release(pos)
+        assert set(store.sums) <= set(_member_sets(candidates[pos + 1 :]))
+    assert not store.sums
 
 
 def test_calibrate_fits_each_distinct_cluster_once_across_alphas(monkeypatch):
@@ -475,9 +529,9 @@ def test_folds_apply_to_auto_grid(monkeypatch):
     # calibrate fits its profiles with the same folds
     seen = []
 
-    def spy(data, part, params, bw_spec=None, cache=None):
+    def spy(data, part, params, bw_spec=None, cache=None, neighbours=None):
         seen.append(bw_spec.folds)
-        return fit_profiles(data, part, params, bw_spec, cache=cache)
+        return fit_profiles(data, part, params, bw_spec, cache=cache, neighbours=neighbours)
 
     monkeypatch.setattr(harness, "fit_profiles", spy)
     calibrate(build_run_config(seed=1, k_min=2, k_max=2, folds=3), [ds])
@@ -722,6 +776,16 @@ def test_cli_exit_codes(tmp_path):
     nan = tmp_path / "nan.csv"
     nan.write_text("0,0\n1,nan\n2,2\n")
     assert cli.main(["evaluate", str(nan), "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_k_min_above_n_names_both(tmp_path, capsys):
+    path = tmp_path / "three.csv"
+    path.write_text("0.0,1.0\n1.0,2.0\n3.0,1.5\n")
+    rc = cli.main(["evaluate", str(path), "--k-min", "4", "--seed", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "k range 4..30" in err and "n=3" in err
 
 
 def test_cli_evaluate_arff_nominal_class(tmp_path):

@@ -498,8 +498,8 @@ def test_kdi_index_bw_spec_reaches_auto_grid(monkeypatch):
     part = canonicalize(ds.reference_labels)
     chosen = []
 
-    def recording(points, spec=None):
-        chosen.append(density.choose_bandwidth(points, spec))
+    def recording(points, spec=None, neighbours=None):
+        chosen.append(density.choose_bandwidth(points, spec, neighbours))
         return chosen[-1]
 
     monkeypatch.setattr(kdi, "choose_bandwidth", recording)

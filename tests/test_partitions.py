@@ -125,6 +125,17 @@ def test_kmeans_rejects_bad_k():
         kmeans(ds, 5, seed=0)
 
 
+def test_kmeans_overflowing_wcss_is_a_generator_failure():
+    ds = Dataset(np.array([[1e300], [-1e300], [0.9e300], [-0.8e300], [1e300]]), id="huge")
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite WCSS"):
+        kmeans(ds, 1, seed=0)
+    with np.errstate(all="ignore"), pytest.warns(UserWarning) as caught:
+        parts = build_candidates(ds, range(1, 6), 3)
+    assert all(p.n == ds.n for p in parts)
+    messages = [str(w.message) for w in caught]
+    assert any(m.startswith("generator kmeans failed for k=1") and "WCSS" in m for m in messages)
+
+
 def test_kmeans_deterministic():
     ds = make_blobs(3, 40, [(0, 0), (4, 0), (0, 4)], sigma=0.8, seed=4)
     a = kmeans(ds, 5, seed=9)
