@@ -42,20 +42,16 @@ def _check_inputs(data, partition):
     return X, labels, partition.K
 
 
-def _cluster_members(X, labels, K):
-    return [X[labels == q] for q in range(K)]
-
-
 def calinski_harabasz(data, partition):
     """Between/within dispersion ratio scaled by (n - K)/(K - 1)."""
-    X, labels, K = _check_inputs(data, partition)
+    X, _, K = _check_inputs(data, partition)
     n = X.shape[0]
     if K < 2 or K > n - 1:
         raise UndefinedScoreError(f"CH needs 2 <= K <= n-1, got K={K}, n={n}")
     global_center = X.mean(axis=0)
     tr_w = 0.0
     tr_b = 0.0
-    for members in _cluster_members(X, labels, K):
+    for members in (X[idx] for idx in partition.members):
         center = members.mean(axis=0)
         tr_w += float(((members - center) ** 2).sum())
         tr_b += members.shape[0] * float(((center - global_center) ** 2).sum())
@@ -83,8 +79,7 @@ def silhouette(data, partition, sums=None):
     sizes = np.bincount(labels, minlength=K)
     sums = {} if sums is None else sums
     columns = []
-    for q in range(K):
-        idx = np.flatnonzero(labels == q)
+    for idx in partition.members:
         key = idx.tobytes()
         if key not in sums:
             # per-sample distance sums: axis 0, as the transpose sums in another order
@@ -106,10 +101,10 @@ def silhouette(data, partition, sums=None):
 
 def davies_bouldin(data, partition):
     """Mean over clusters of the worst (sigma_i + sigma_j) / d(c_i, c_j)."""
-    X, labels, K = _check_inputs(data, partition)
+    X, _, K = _check_inputs(data, partition)
     if K < 2:
         raise UndefinedScoreError(f"DB needs K >= 2, got K={K}")
-    clusters = _cluster_members(X, labels, K)
+    clusters = [X[idx] for idx in partition.members]
     centroids = np.array([members.mean(axis=0) for members in clusters])
     sigma = np.array(
         [

@@ -1,6 +1,7 @@
 """Dataset ingestion: headerless CSV, whitespace-delimited text, and a small
 ARFF subset, plus synthetic blob generation for tests and demos."""
 
+import csv
 import math
 import re
 
@@ -81,7 +82,11 @@ def _feature(field, lineno):
 def _split_line(line, fmt):
     if fmt == "whitespace":
         return line.split()
-    return [field.strip() for field in line.split(",")]
+    if fmt == "arff":  # a quoted ARFF value may hold commas
+        fields = next(csv.reader([line], quotechar="'", skipinitialspace=True))
+    else:
+        fields = line.split(",")
+    return [field.strip() for field in fields]
 
 
 def _parse_delimited(lines, fmt, label_column, dataset_id, width=None):

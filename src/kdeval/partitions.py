@@ -1,12 +1,9 @@
 """Candidate partition generation and canonicalization.
 
-Generators: Lloyd k-means with k-means++ seeding (the restarts run in stacked
-Lloyd loops of bounded size), full-covariance Gaussian mixture EM (log-densities from
-inverted Cholesky factors; build_candidates starts its k-means init from the
-k-means candidate at the same k), and agglomerative clustering cut at k for
-the four standard linkages.  All partitions are canonicalized (cluster ids
-renumbered by first occurrence) so equality up to relabeling is a plain array
-comparison.
+Generators: Lloyd k-means with k-means++ seeding, full-covariance Gaussian
+mixture EM, and agglomerative clustering cut at k for the four standard
+linkages.  All partitions are canonicalized (cluster ids renumbered by first
+occurrence) so equality up to relabeling is a plain array comparison.
 """
 
 import csv
@@ -48,6 +45,12 @@ class Partition:
     @property
     def n(self):
         return self.labels.shape[0]
+
+    @property
+    def members(self):
+        """Ascending member indices of each cluster 0..K-1, one array each:
+        the one place labels become member sets."""
+        return [np.flatnonzero(self.labels == q) for q in range(self.K)]
 
     def key(self):
         """Bytes key for equality-up-to-relabeling (labels are canonical)."""
@@ -186,8 +189,9 @@ def _em_init(data, k, seed, init, reg):
     covs = np.empty((k, d, d))
     weights = np.full(k, 1.0 / k)
     if init is not None:
+        clusters = init.members
         for j in range(k):
-            members = X[init.labels == j] if j < init.K else X[rng.integers(n)].reshape(1, -1)
+            members = X[clusters[j]] if j < init.K else X[rng.integers(n)].reshape(1, -1)
             means[j] = members.mean(axis=0)
             diff = members - means[j]
             covs[j] = diff.T @ diff / members.shape[0] + reg

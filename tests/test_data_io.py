@@ -170,6 +170,22 @@ def test_csv_and_arff_give_the_same_dataset(tmp_path):
     np.testing.assert_array_equal(a.reference_labels, b.reference_labels)
 
 
+def test_arff_quoted_value_keeps_its_comma(tmp_path):
+    arff = tmp_path / "quoted.arff"
+    arff.write_text(
+        "@relation r\n@attribute x numeric\n@attribute class {'q,r',b}\n@data\n"
+        "1.0,'q,r'\n2.0, b\n3.0,'q,r'\n"
+    )
+    ds = load_dataset(arff, "arff")
+    np.testing.assert_array_equal(ds.points, [[1.0], [2.0], [3.0]])
+    np.testing.assert_array_equal(ds.reference_labels, [0, 1, 0])
+    # CSV keeps its plain split: the same row there has three fields
+    csv = tmp_path / "quoted.csv"
+    csv.write_text("1.0,'q,r'\n")
+    with pytest.raises(ParseError, match="line 1: non-numeric"):
+        load_dataset(csv, "csv", label_column=-1)
+
+
 def test_missing_label_is_parse_error(tmp_path):
     csv = tmp_path / "q.csv"
     csv.write_text("0,0,a\n1,1,?\n")

@@ -336,6 +336,31 @@ def test_cv_bound_on_dataset_neighbour_lists_matches_exhaustive_argmax(monkeypat
     assert min(ruled_out.values()) > 0, ruled_out
 
 
+def test_cv_bound_floor_rules_out_values_when_a_member_lists_no_training_point():
+    # 20 non-members within 1e-3 of member 0 fill its 16 listed neighbours, so
+    # the listed points bound nothing below for it; the bounding-box floor does
+    rng = np.random.default_rng(0)
+    members = rng.standard_normal((300, 2))
+    X = np.vstack([members, members[0] + rng.uniform(-5e-4, 5e-4, (20, 2))])
+    idx = np.arange(300)
+    lists = density._neighbour_lists(X)
+
+    def rows():
+        return density._member_rows(lists, idx)
+
+    assert np.all(rows()[1][0, 1:] == -1)
+    spec = auto_search_spec(members)
+    folds = np.array_split(np.random.default_rng(spec.seed).permutation(300), spec.folds)
+    keep = density._cv_survivors(members, folds, np.asarray(spec.grid)[:, None], rows)
+    assert keep.sum() == 9
+    scores = _cv_scores(members, spec, rows)
+    full = _cv_scores_exhaustive(members, spec)
+    assert np.array_equal(scores[keep], full[keep])
+    assert np.all(full[~keep] < full.max())
+    chosen = select_bandwidth(members, spec, rows)
+    assert chosen == spec.grid[np.flatnonzero(full == full.max())[-1]]
+
+
 def test_member_rows_mark_non_members():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((50, 2))

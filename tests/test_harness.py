@@ -515,6 +515,16 @@ def test_config_file_run_and_bandwidth_sections(tmp_path):
             build_run_config(seed=1, file_overrides=load_config_file(path))
 
 
+def test_config_booleans_take_eight_words_in_any_case():
+    for word, value in (("1", True), ("yes", True), ("true", True), ("on", True),
+                        ("0", False), ("no", False), ("false", False), ("off", False)):
+        for text in (word, f" {word.upper()} "):
+            config = build_run_config(seed=1, file_overrides={("kdi", "pair_local"): text})
+            assert config.kdi_params.pair_local is value, text
+    with pytest.raises(ValueError, match="not a boolean: 'maybe'"):
+        build_run_config(seed=1, file_overrides={("kdi", "pair_local"): "maybe"})
+
+
 def test_folds_apply_to_auto_grid(monkeypatch):
     ds = make_blobs(2, 30, [(0.0, 0.0), (8.0, 8.0)], sigma=0.5, seed=6)
     ref = canonicalize(ds.reference_labels, source="reference")

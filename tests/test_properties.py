@@ -119,3 +119,17 @@ def test_degenerate_inputs_through_every_generator(case):
                 assert _in_unit_interval(value), (kind, row.source, column, value)
             else:
                 assert value is None or math.isfinite(value), (kind, row.source, column, value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(raw=st.lists(st.integers(0, 6), min_size=1, max_size=60))
+@example(raw=[0] * 9)  # K = 1
+@example(raw=list(range(9)))  # singletons
+def test_partition_members_are_each_clusters_ascending_indices(raw):
+    part = canonicalize(raw)
+    expected = [np.flatnonzero(part.labels == q) for q in range(part.K)]
+    got = part.members
+    assert len(got) == part.K
+    for idx, want in zip(got, expected):
+        assert idx.dtype.kind == "i" and np.array_equal(idx, want)
+    assert np.array_equal(np.sort(np.concatenate(got)), np.arange(part.n))
