@@ -1,7 +1,6 @@
 """Dataset ingestion: headerless CSV, whitespace-delimited text, and a small
 ARFF subset, plus synthetic blob generation for tests and demos."""
 
-import csv
 import math
 import re
 
@@ -79,14 +78,25 @@ def _feature(field, lineno):
     return value
 
 
-def _split_line(line, fmt):
+# One ARFF value, quoted with ' or " (it may then hold commas) or bare, and the
+# comma or line end after it.
+_ARFF_VALUE = re.compile(r"""\s*(?:'([^']*)'|"([^"]*)"|([^,'"]*))\s*(,|$)""")
+
+
+def _split_line(line, fmt, lineno):
     if fmt == "whitespace":
         return line.split()
-    if fmt == "arff":  # a quoted ARFF value may hold commas
-        fields = next(csv.reader([line], quotechar="'", skipinitialspace=True))
-    else:
-        fields = line.split(",")
-    return [field.strip() for field in fields]
+    if fmt == "csv":
+        return [field.strip() for field in line.split(",")]
+    fields, pos = [], 0
+    while True:
+        m = _ARFF_VALUE.match(line, pos)
+        if m is None:
+            raise ParseError(f"line {lineno}: unclosed or stray quote")
+        fields.append(next(v for v in m.groups() if v is not None).strip())
+        if not m.group(4):
+            return fields
+        pos = m.end()
 
 
 def _parse_delimited(lines, fmt, label_column, dataset_id, width=None):
@@ -94,7 +104,7 @@ def _parse_delimited(lines, fmt, label_column, dataset_id, width=None):
     reader for every format: the label column, ragged rows, '?' and
     non-finite values are each checked here."""
     first_lineno = lines[0][0]
-    width = width or len(_split_line(lines[0][1], fmt))
+    width = width or len(_split_line(lines[0][1], fmt, first_lineno))
     col = label_column
     if col is not None:
         col = col if col >= 0 else width + col
@@ -105,7 +115,7 @@ def _parse_delimited(lines, fmt, label_column, dataset_id, width=None):
     rows = []
     raw_labels = []
     for lineno, text in lines:
-        fields = _split_line(text, fmt)
+        fields = _split_line(text, fmt, lineno)
         if len(fields) != width:
             raise ParseError(
                 f"line {lineno}: expected {width} columns, found {len(fields)} (ragged row)"
@@ -123,7 +133,7 @@ def _parse_delimited(lines, fmt, label_column, dataset_id, width=None):
     return Dataset(np.array(rows), reference_labels=labels, id=dataset_id)
 
 
-_ARFF_ATTR = re.compile(r"@attribute\s+(\S+)\s+(.+)$", re.IGNORECASE)
+_ARFF_ATTR = re.compile(r"""@attribute\s+('[^']*'|"[^"]*"|[^'"\s]\S*)\s+(.+)$""", re.IGNORECASE)
 
 
 def _parse_arff(lines, label_column, dataset_id):

@@ -50,8 +50,8 @@ EXP_CLAMP = -700.0
 NARROW_WIDTH = 16
 
 # Smallest cluster on which _cv_scores runs the _cv_survivors bound; on smaller
-# ones it costs more than the grid values it rules out.
-CV_BOUND_MIN = 150
+# ones it costs more than the grid values it rules out (break-even 80-90 points).
+CV_BOUND_MIN = 90
 
 
 @dataclass(frozen=True)
@@ -209,23 +209,13 @@ def _neighbour_lists(points):
     return dist * dist, near
 
 
-def _member_rows(lists, idx):
-    """The rows of _neighbour_lists' lists for the member indices idx, each
-    listed point given as its position in idx, or -1 when it is not a member
-    (or missing: the tree lists a missing neighbour as index n, at distance inf)."""
-    sq, near = lists
-    position = np.full(len(sq) + 1, -1)
-    position[idx] = np.arange(len(idx))
-    return sq[idx], position[near[idx]]
-
-
 def _cv_bounds(pts, folds, grid, neighbours=None):
     """(lower, upper) bounds on the CV score over the folds (index arrays) of
     each grid value (a (g, 1) array); -inf and inf where they are not computed.
 
-    neighbours() gives each point's rows of a dataset's neighbour lists (see
-    _member_rows); None lists the points as their own dataset.  Listed points
-    outside the cluster and those in the point's own fold are set to +inf.
+    neighbours is (lists, idx): a dataset's _neighbour_lists and the indices
+    of the points in it; None lists the points as their own dataset.  Listed
+    points outside the cluster and those in the point's own fold are set to +inf.
     The kernel's log-sum-exp over the rest, the listed training points, bounds
     each held-out log-sum-exp below.  Every training point lies within the
     diagonal D of the cluster's bounding box, so each held-out log-density is
@@ -242,15 +232,18 @@ def _cv_bounds(pts, folds, grid, neighbours=None):
     m, d = pts.shape
     lower = np.full(len(grid), -np.inf)
     upper = np.full(len(grid), np.inf)
-    sq, near = _neighbour_lists(pts) if neighbours is None else neighbours()
+    lists, idx = (_neighbour_lists(pts), np.arange(m)) if neighbours is None else neighbours
+    sq, near = lists[0][idx], lists[1][idx]
     if not sq[:, -1].max() <= 1e300:  # also catches inf
         return lower, upper
-    fold = np.full(m + 1, -1)  # a non-member (listed as -1) reads fold[m] = -1
+    # fold of each dataset point; non-members and a missing neighbour (listed as n) read -1
+    fold = np.full(len(lists[0]) + 1, -1)
     for f, held in enumerate(folds):
-        fold[held] = f
+        fold[idx[held]] = f
+    own = fold[idx]
     listed_fold = fold[near]
-    counted = (listed_fold >= 0) & (listed_fold != fold[:m, None])
-    train = m - np.bincount(fold[:m])[fold[:m]]
+    counted = (listed_fold >= 0) & (listed_fold != own[:, None])
+    train = m - np.bincount(own)[own]
     rest = train - np.count_nonzero(counted, axis=1)
     listed = np.where(counted, sq, np.inf)
     lb = _lse_blocks(lambda r0, r1: listed[r0:r1], m, sq.shape[1], grid[:, 0])

@@ -27,7 +27,7 @@ from .baselines import (
     silhouette,
 )
 from .config import config_snapshot, save_params_config
-from .density import _member_rows, _neighbour_lists
+from .density import _neighbour_lists
 from .kdi import AMBIGUOUS, SIMILARITY, fit_profiles, kdi_index
 from .partitions import build_candidates, save_partitions
 from .svgplot import emit_svg
@@ -107,9 +107,9 @@ class _ClusterStore:
     """The per-cluster values that every candidate of one dataset reads: the
     density fits (fit_profiles' cache) and the silhouette distance sums, each
     keyed by member-index bytes, and the bandwidth CV's neighbour lists from
-    one query over the whole dataset, made when a cluster first runs the CV
-    bound.  A cluster's sums are dropped after the last of the candidates
-    that has it (release)."""
+    one query over the whole dataset, made when profiles are first fitted.
+    A cluster's sums are dropped after the last of the candidates that has
+    it (release)."""
 
     def __init__(self, points, candidates=()):
         self.fits = {}
@@ -126,12 +126,8 @@ class _ClusterStore:
         for key in [key for key in self.sums if self._last[hash(key)] == pos]:
             del self.sums[key]
 
-    def neighbours(self, idx):
-        """The rows of the members idx in the dataset's neighbour lists."""
-        return _member_rows(self._query(), idx)
-
     def profiles(self, data, part, params, spec):
-        return fit_profiles(data, part, params, spec, cache=self.fits, neighbours=self.neighbours)
+        return fit_profiles(data, part, params, spec, cache=self.fits, neighbours=self._query())
 
 
 def _score_candidate(data, part, config, record, store):
@@ -247,15 +243,6 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _score_columns(report):
-    cols = []
-    for row in report.rows:
-        for key in row.scores:
-            if key not in cols:
-                cols.append(key)
-    return cols
-
-
 def write_report(report, out_dir, dataset=None, emit_svgs=False):
     """Write report.csv, summary.txt, runtime.txt, the candidate partition
     directory, and (optionally) the top-5 SVGs per ranked index.
@@ -264,7 +251,7 @@ def write_report(report, out_dir, dataset=None, emit_svgs=False):
     confined to runtime.txt.
     """
     os.makedirs(out_dir, exist_ok=True)
-    score_cols = _score_columns(report)
+    score_cols = list(report.rows[0].scores)  # every row has every configured column
     rank_cols = list(report.rankings)
     header = ["candidate", "source", "k"] + score_cols + ["ari"]
     header += [f"rank_{idx}" for idx in rank_cols] + ["bandwidths"]

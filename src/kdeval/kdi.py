@@ -11,7 +11,6 @@ Cross-cluster reductions use math.fsum so scores are bit-identical under any
 relabeling of the clusters.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -129,9 +128,9 @@ def fit_profiles(data, partition, params, bw_spec=None, cache=None, neighbours=N
     the whole dataset.
 
     cache maps (member index bytes, spec) to a fitted (model, column), and
-    neighbours(idx) gives members idx their rows of the dataset's neighbour
-    lists; both serve one dataset (see harness._ClusterStore).  The
-    territories are always rebuilt from params.
+    neighbours holds the dataset's _neighbour_lists for the CV bound; both
+    serve one dataset (see harness._ClusterStore).  The territories are
+    always rebuilt from params.
     """
     X = data.points
     if partition.n != X.shape[0]:
@@ -143,7 +142,7 @@ def fit_profiles(data, partition, params, bw_spec=None, cache=None, neighbours=N
         key = (idx.tobytes(), spec)
         if key not in cache:
             pts = X[idx]
-            rows = None if neighbours is None else functools.partial(neighbours, idx)
+            rows = None if neighbours is None else (neighbours, idx)
             model = fit_kde(pts, choose_bandwidth(pts, spec, neighbours=rows))
             column = log_density_many(model, X)
             # shared by every partition with this cluster: fail loudly on a write

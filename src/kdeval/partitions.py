@@ -31,14 +31,22 @@ GENERATORS = ("kmeans", "gmm", "agg-ward", "agg-complete", "agg-average", "agg-s
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Canonical cluster assignment: labels in 0..K-1, first-occurrence order."""
+    """Cluster assignment: labels in 0..K-1, each cluster non-empty (a
+    ValueError otherwise); canonical, that is in first-occurrence order, when
+    made by canonicalize."""
 
     labels: np.ndarray
     K: int
     source: str = ""
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        raw = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison below
+            labels = raw.astype(np.int64, copy=False) if raw.dtype.kind in "biuf" else None
+        if labels is None or raw.ndim != 1 or not np.array_equal(labels, raw):
+            raise ValueError(f"labels must be a 1-D array of integers, got {raw.dtype} {raw.shape}")
+        if not np.array_equal(np.unique(labels), np.arange(self.K)):
+            raise ValueError(f"labels must take each value 0..{self.K - 1} (K={self.K}), no other")
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
 
@@ -314,16 +322,13 @@ def build_candidates(data, k_range, seed, generators=GENERATORS):
             trees[method] = _linkage_tree(data, method)
         except Exception as exc:  # pragma: no cover - scipy failures are exotic
             warnings.warn(f"linkage {method} failed: {exc}")
-    seen = {}
-    ordered = []
+    kept = {}  # key -> candidate; assigning to a present key keeps its position
 
     def add(part):
-        pos = seen.setdefault(part.key(), len(ordered))
-        if pos == len(ordered):
-            ordered.append(part)
-        else:
-            kept = ordered[pos]
-            ordered[pos] = Partition(kept.labels, kept.K, kept.source + "+" + part.source)
+        if part.key() in kept:
+            first = kept[part.key()]
+            part = Partition(first.labels, first.K, first.source + "+" + part.source)
+        kept[part.key()] = part
 
     for k in ks:
         km = None  # the kmeans candidate at this k also starts GMM's k-means init
@@ -347,7 +352,7 @@ def build_candidates(data, k_range, seed, generators=GENERATORS):
             add(part)
     if data.reference_labels is not None:
         add(canonicalize(data.reference_labels, source="reference"))
-    return ordered
+    return list(kept.values())
 
 
 def save_partitions(directory, partitions):

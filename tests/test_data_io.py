@@ -186,6 +186,36 @@ def test_arff_quoted_value_keeps_its_comma(tmp_path):
         load_dataset(csv, "csv", label_column=-1)
 
 
+def test_arff_attribute_names_may_be_quoted(tmp_path):
+    arff = tmp_path / "names.arff"
+    arff.write_text(
+        "@relation r\n@attribute 'x y' numeric\n@attribute \"z w\" real\n"
+        "@attribute 'the class' {a,b}\n@data\n1,2,a\n3,4,b\n"
+    )
+    ds = load_dataset(arff, "arff")
+    np.testing.assert_array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(ds.reference_labels, [0, 1])
+
+
+def test_arff_double_quoted_value_keeps_its_comma(tmp_path):
+    arff = tmp_path / "double.arff"
+    arff.write_text(
+        "@relation r\n@attribute x numeric\n@attribute y numeric\n"
+        "@attribute class {\"q,r\",b,'s,t'}\n@data\n1,2,\"q,r\"\n3,4, b\n5,6,'s,t'\n7,8,\"q,r\"\n"
+    )
+    ds = load_dataset(arff, "arff")
+    np.testing.assert_array_equal(ds.points, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    np.testing.assert_array_equal(ds.reference_labels, [0, 1, 2, 0])
+
+
+@pytest.mark.parametrize("row", ["1,'q", '1,"q', "1,q'r", "'1'2,q"])
+def test_arff_unclosed_quote_names_its_line(tmp_path, row):
+    arff = tmp_path / "open.arff"
+    arff.write_text(f"@relation r\n@attribute x numeric\n@attribute c {{q,b}}\n@data\n2,b\n{row}\n")
+    with pytest.raises(ParseError, match="line 6: unclosed or stray quote"):
+        load_dataset(arff, "arff")
+
+
 def test_missing_label_is_parse_error(tmp_path):
     csv = tmp_path / "q.csv"
     csv.write_text("0,0,a\n1,1,?\n")

@@ -316,10 +316,7 @@ def test_cv_bound_on_dataset_neighbour_lists_matches_exhaustive_argmax(monkeypat
         if spec is None or not np.all(np.isfinite(spec.grid)):
             grid = scale * np.geomspace(0.01, 10.0, GRID_SIZE)
             spec = BandwidthSearchSpec(tuple(grid), folds, case)
-
-        def rows():
-            return density._member_rows(lists, idx)
-
+        rows = (lists, idx)
         with np.errstate(over="ignore"):  # 2h^2 overflows at 1e155
             scores = _cv_scores(pts, spec, rows)
             full = _cv_scores_exhaustive(pts, spec)
@@ -344,11 +341,8 @@ def test_cv_bound_floor_rules_out_values_when_a_member_lists_no_training_point()
     X = np.vstack([members, members[0] + rng.uniform(-5e-4, 5e-4, (20, 2))])
     idx = np.arange(300)
     lists = density._neighbour_lists(X)
-
-    def rows():
-        return density._member_rows(lists, idx)
-
-    assert np.all(rows()[1][0, 1:] == -1)
+    rows = (lists, idx)
+    assert not np.isin(lists[1][0, 1:], idx).any()
     spec = auto_search_spec(members)
     folds = np.array_split(np.random.default_rng(spec.seed).permutation(300), spec.folds)
     keep = density._cv_survivors(members, folds, np.asarray(spec.grid)[:, None], rows)
@@ -361,19 +355,21 @@ def test_cv_bound_floor_rules_out_values_when_a_member_lists_no_training_point()
     assert chosen == spec.grid[np.flatnonzero(full == full.max())[-1]]
 
 
-def test_member_rows_mark_non_members():
+def test_cv_bounds_on_whole_dataset_lists_match_own_lists():
+    # a cluster that is its whole dataset, handed the dataset's lists and every
+    # index, gets the bounds of a cluster listed on its own, bit for bit
     rng = np.random.default_rng(5)
-    X = rng.standard_normal((50, 2))
-    idx = np.flatnonzero(rng.random(50) < 0.4)
-    lists = density._neighbour_lists(X)
-    sq, near = density._member_rows(lists, idx)
-    assert np.array_equal(sq, lists[0][idx])
-    members = near >= 0
-    assert np.array_equal(idx[near[members]], lists[1][idx][members])
-    assert not np.isin(lists[1][idx][~members], idx).any()
-    # a cluster searched on its own lists its neighbours among its members only
-    alone_sq, alone_near = density._neighbour_lists(X[idx])
-    assert alone_near.min() >= 0 and np.all(alone_sq[:, -1] >= sq[:, -1])
+    for case in range(12):
+        n, d = int(rng.integers(20, 300)), int(rng.integers(1, 5))
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+        for folds in (2, 3, 5, 7):
+            split = np.array_split(rng.permutation(n), folds)
+            grid = np.asarray(auto_search_spec(X).grid)[:, None]
+            own = density._cv_bounds(X, split, grid)
+            listed = density._cv_bounds(X, split, grid, (density._neighbour_lists(X), np.arange(n)))
+            assert np.isfinite(own[0]).any(), (case, folds)
+            for a, b in zip(own, listed):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (case, folds)
 
 
 def test_cv_evaluates_fewer_than_half_the_grid(monkeypatch):

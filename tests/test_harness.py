@@ -88,6 +88,25 @@ def test_evaluate_without_labels_omits_success():
     assert all(r.ari is None for r in report.rows)
 
 
+def test_every_report_row_has_every_score_column_in_order():
+    # k = n makes CH and silhouette undefined for the singleton candidate
+    six = make_blobs(1, 6, [(0.0, 0.0)], sigma=1.0, seed=3, id="six")
+    blobs = make_blobs(3, 20, [(0, 0), (6, 0), (0, 6)], sigma=0.8, seed=3)
+    undefined = 0
+    for ds, config in (
+        (six, build_run_config(seed=4, k_min=2, k_max=6)),
+        (blobs, build_run_config(seed=2, k_min=2, k_max=4, include_variants=True)),
+        (blobs, build_run_config(seed=2, k_min=2, k_max=4, indices=("db", "ch"))),
+    ):
+        report = evaluate_dataset(config, ds)
+        keys = [list(row.scores) for row in report.rows]
+        assert all(k == keys[0] for k in keys)
+        leading = [i for i in ("ch", "sc", "db", "new") if i in config.indices]
+        assert keys[0][: len(leading)] == leading
+        undefined += sum(None in row.scores.values() for row in report.rows)
+    assert undefined
+
+
 def test_undefined_scores_warn_and_rank_last():
     # k = n makes CH and silhouette undefined for the singleton candidate
     ds = make_blobs(1, 6, [(0.0, 0.0)], sigma=1.0, seed=3, id="six")
@@ -376,10 +395,15 @@ def test_cluster_store_makes_one_neighbour_query_per_dataset(monkeypatch):
     monkeypatch.setattr(density, "_neighbour_lists", standalone)
     monkeypatch.setattr(baselines, "cdist", recording)
     config = build_run_config(seed=2, k_min=2, k_max=3, indices=("sc", "new"))
-    # two clusters of 200 points run the CV bound; clusters of 20 do not
+    # one query per dataset scored with new, whether or not a cluster runs the
+    # CV bound (clusters of 200 points do, clusters of 20 do not); none without new
     big = make_blobs(2, 200, [(0, 0), (8, 0)], sigma=1.0, seed=5)
     small = make_blobs(3, 20, [(0, 0), (6, 0), (0, 6)], sigma=0.8, seed=3)
-    for ds, expected in ((big, [400]), (small, [])):
+    baseline_only = build_run_config(seed=2, k_min=2, k_max=3, indices=("ch", "sc", "db"))
+    for ds, expected in ((big, [400]), (small, [60])):
+        queries.clear()
+        evaluate_dataset(baseline_only, ds)
+        assert queries == []
         queries.clear()
         blocks.clear()
         report = evaluate_dataset(config, ds)

@@ -6,6 +6,7 @@ from kdeval.data_io import Dataset, make_blobs
 from kdeval.partitions import (
     EM_MAX_ITER,
     GENERATORS,
+    Partition,
     _log_gaussians,
     agglomerative,
     build_candidates,
@@ -210,6 +211,30 @@ def test_canonicalize_random_relabeling_property():
         labels = rng.integers(0, 6, n)
         perm = rng.permutation(6)
         assert canonicalize(labels).same_grouping(canonicalize(perm[labels]))
+
+
+def test_partition_rejects_labels_that_do_not_fit_k():
+    ds = make_blobs(3, 20, [(0, 0), (6, 0), (0, 6)], 0.8, 1)
+    labels = ds.reference_labels
+    for bad, K in (
+        (labels, 2),  # a label K or above
+        (labels, 4),  # an empty cluster
+        (labels - 1, 3),  # a negative label
+        ([0.5, 1.7, 1.2], 2),  # truncated to [0, 1, 1] before
+        ([0.0, np.nan, 1.0], 2),
+        ([[0, 1], [1, 0]], 2),
+        (["a", "b"], 2),
+        ([], 1),
+    ):
+        with pytest.raises(ValueError, match="labels must"):
+            Partition(bad, K)
+    part = Partition(labels, 3)
+    assert part.labels.dtype == np.int64 and not part.labels.flags.writeable
+    # a non-canonical order stays allowed: clusters may be relabelled
+    permuted = Partition(np.array([2, 0, 1])[labels], 3)
+    assert not np.array_equal(permuted.labels, part.labels)
+    assert canonicalize(permuted.labels).same_grouping(part)
+    np.testing.assert_array_equal(Partition([0.0, 1.0, 1.0], 2).labels, [0, 1, 1])
 
 
 def test_build_candidates_dedup_arithmetic():
