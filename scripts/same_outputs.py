@@ -15,7 +15,8 @@ candidate directory included.
 
 Standard output is one JSON object: each root's digest per
 `workload/seed/index`, the count of evaluations, and the keys whose digests
-differ between the roots.  The exit status is 1 when any key differs.
+differ between the roots.  The exit status is 1 when any key differs and 2
+when the evaluations of a root fail.
 """
 
 import argparse
@@ -26,9 +27,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from scale_runs import THREAD_VARS
+
 HERE = Path(__file__).resolve().parent
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def tree_digest(out_dir):
@@ -86,8 +87,8 @@ def main(argv):
             [sys.executable, __file__, "--child", root, *map(str, args.seeds)],
             env=env, capture_output=True, text=True, check=False)
         if proc.returncode != 0:
-            sys.stderr.write(proc.stderr)
-            raise SystemExit(f"evaluations on {root} failed")
+            sys.stderr.write(f"{proc.stderr}evaluations on {root} failed\n")
+            return 2
         digests[root] = json.loads(proc.stdout.strip().splitlines()[-1])
     keys = sorted(set().union(*digests.values()))
     differ = [key for key in keys if len({d.get(key) for d in digests.values()}) > 1]
