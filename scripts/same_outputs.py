@@ -1,5 +1,5 @@
 """Output identity between checkouts: every perfbench evaluation's written
-files, hashed per checkout and compared.
+files, plus default-config evaluations, hashed per checkout and compared.
 
     python3 scripts/same_outputs.py --root <checkout> --root <checkout> [--seeds 401 402]
 
@@ -9,14 +9,20 @@ scripts/scale_runs.py draws them.  For each root, one fresh process with one
 BLAS thread imports kdeval from <root>/src and runs `evaluate_dataset` and
 `write_report` on every dataset with the workload's settings, as the
 perfbench worker sets them (k range, variants, SVGs; dataset ids
-`dataset<index>`).  The digest of an evaluation is a SHA-256 over the
-relative path and bytes of every file it wrote except runtime.txt, the
-candidate directory included.
+`dataset<index>`).  The workloads stop at k=6, so each seed also runs the
+default config, `build_run_config(seed=seed)` (k=2..30, every generator,
+ch/sc/db/new, no variants, no SVGs), on one n=400 dataset of each recipe the
+workloads use, drawn with numpy.random.default_rng((seed, 0)) and keyed
+`default400/<recipe>/<seed>`: that range is where singletons take the
+fallback bandwidth, clusters fall below the CV bound's size gate and GMM runs
+at high k.  The digest of an evaluation is a SHA-256 over the relative path
+and bytes of every file it wrote except runtime.txt, the candidate directory
+included.
 
 Standard output is one JSON object: each root's digest per
-`workload/seed/index`, the count of evaluations, and the keys whose digests
-differ between the roots.  The exit status is 1 when any key differs and 2
-when the evaluations of a root fail.
+`workload/seed/index` and `default400/recipe/seed`, the count of evaluations,
+and the keys whose digests differ between the roots.  The exit status is 1
+when any key differs and 2 when the evaluations of a root fail.
 """
 
 import argparse
@@ -30,6 +36,7 @@ from pathlib import Path
 from scale_runs import THREAD_VARS
 
 HERE = Path(__file__).resolve().parent
+DEFAULT_N = 400
 
 
 def tree_digest(out_dir):
@@ -51,26 +58,37 @@ def child(root, seeds):
     """Evaluate every dataset with kdeval from root/src; print one JSON object."""
     import tempfile
 
+    import numpy as np
+
     sys.path.insert(0, str(Path(root).resolve() / "src"))
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     import kdeval
     from workloads import WORKLOADS
 
+    recipes = {workload.recipe.__name__: workload.recipe for workload in WORKLOADS.values()}
     digests = {}
     with tempfile.TemporaryDirectory() as work:
+        def record(key, config, points, labels, dataset_id):
+            dataset = kdeval.data_io.Dataset(points, labels, id=dataset_id)
+            out = os.path.join(work, key.replace("/", "_"))
+            report = kdeval.harness.evaluate_dataset(config, dataset)
+            kdeval.harness.write_report(report, out, dataset=dataset, emit_svgs=config.emit_svg)
+            digests[key] = tree_digest(out)
+
         for name, workload in WORKLOADS.items():
             for seed in seeds:
                 config = kdeval.build_run_config(
                     seed=seed, k_min=workload.k_min, k_max=workload.k_max,
                     include_variants=workload.variants or None, emit_svg=workload.svg or None)
                 for index in range(workload.datasets):
-                    points, labels = workload.generate(seed, index)
-                    dataset = kdeval.data_io.Dataset(points, labels, id=f"dataset{index}")
-                    out = os.path.join(work, f"{name}_{seed}_{index}")
-                    report = kdeval.harness.evaluate_dataset(config, dataset)
-                    kdeval.harness.write_report(report, out, dataset=dataset,
-                                                emit_svgs=config.emit_svg)
-                    digests[f"{name}/{seed}/{index}"] = tree_digest(out)
+                    record(f"{name}/{seed}/{index}", config, *workload.generate(seed, index),
+                           f"dataset{index}")
+        for seed in seeds:
+            config = kdeval.build_run_config(seed=seed)
+            for recipe_name, recipe in recipes.items():
+                points, labels = recipe(np.random.default_rng((seed, 0)), DEFAULT_N)
+                record(f"default{DEFAULT_N}/{recipe_name}/{seed}", config, points, labels,
+                       recipe_name)
     print(json.dumps(digests))
 
 

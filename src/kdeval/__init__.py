@@ -8,6 +8,8 @@ the adjusted Rand index, candidate partition generators, and a benchmark
 harness round out the toolkit.
 """
 
+import types
+
 from .baselines import (
     IndexScore,
     UndefinedScoreError,
@@ -67,55 +69,9 @@ from .svgplot import emit_svg
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandwidthSearchSpec",
-    "ClusterDensityProfile",
-    "Dataset",
-    "DensityModel",
-    "EvaluationReport",
-    "IndexScore",
-    "KdiParams",
-    "KdiScore",
-    "Partition",
-    "RunConfig",
-    "UndefinedScoreError",
-    "adjusted_rand_index",
-    "agglomerative",
-    "aggregate_accuracy",
-    "ambiguous_index",
-    "ambiguous_v1",
-    "ambiguous_v2",
-    "ambiguous_v3",
-    "boundary_index",
-    "build_candidates",
-    "build_run_config",
-    "calibrate",
-    "calinski_harabasz",
-    "canonicalize",
-    "davies_bouldin",
-    "emit_svg",
-    "evaluate_dataset",
-    "fallback_bandwidth",
-    "fit_kde",
-    "fit_profiles",
-    "gmm_em",
-    "kdi_index",
-    "kmeans",
-    "load_dataset",
-    "load_partitions",
-    "log_density",
-    "log_density_many",
-    "make_blobs",
-    "pairwise_ambiguous",
-    "rank_candidates",
-    "save_dataset_csv",
-    "save_partitions",
-    "select_bandwidth",
-    "silhouette",
-    "similarity_index",
-    "similarity_v1",
-    "similarity_v2",
-    "similarity_v3",
-    "write_accuracy",
-    "write_report",
-]
+# Every name bound above except the private ones and the modules (`types` and
+# the submodules), so the imports are the one list of public names.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -8,6 +8,7 @@ wrong with the data (data error).
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 
@@ -162,8 +163,10 @@ def _cmd_bench(args):
         write_report(report, os.path.join(args.out, dataset.id), dataset=dataset,
                      emit_svgs=config.emit_svg)
         written[dataset.id] = path
-        reports.append(report)
         print(f"{dataset.id}: {len(report.rows)} candidates scored")
+        # aggregation reads only the id and the champion ARIs; the candidates'
+        # labels would otherwise stay alive until every dataset is done
+        reports.append(dataclasses.replace(report, rows=[], candidates=[]))
     try:
         table = aggregate_accuracy(reports)
     except ValueError as exc:

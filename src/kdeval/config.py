@@ -41,7 +41,7 @@ class RunConfig:
             raise ValueError(f"bad k range [{self.k_min}, {self.k_max}]")
         if not self.indices:
             raise ValueError("indices must name at least one index")
-        unknown = set(self.indices) - {"ch", "sc", "db", "new"}
+        unknown = set(self.indices) - set(DEFAULT_INDICES)
         if unknown:
             raise ValueError(f"unknown indices: {sorted(unknown)}")
         if not self.generators:

@@ -99,11 +99,13 @@ def _split_line(line, fmt, lineno):
         pos = m.end()
 
 
-def _parse_delimited(lines, fmt, label_column, dataset_id, width=None):
+def _parse_delimited(lines, fmt, label_column, dataset_id, width=None, nominal=(None, ())):
     """Rows of `width` fields (the first row's count when None).  The one row
-    reader for every format: the label column, ragged rows, '?' and
-    non-finite values are each checked here."""
+    reader for every format: the label column, ragged rows, '?', non-finite
+    values and the values of the nominal column (its index and declared
+    values) are each checked here."""
     first_lineno = lines[0][0]
+    nominal_col, declared = nominal
     width = width or len(_split_line(lines[0][1], fmt, first_lineno))
     col = label_column
     if col is not None:
@@ -124,6 +126,8 @@ def _parse_delimited(lines, fmt, label_column, dataset_id, width=None):
         for j, field in enumerate(fields):
             if field == "?":
                 raise ParseError(f"line {lineno}: missing value '?' is not supported")
+            if j == nominal_col and field not in declared:
+                raise ParseError(f"line {lineno}: nominal value {field!r} is not declared")
             if j == col:
                 raw_labels.append(field)
             else:
@@ -140,7 +144,7 @@ def _parse_arff(lines, label_column, dataset_id):
     """Read the header (attribute count, nominal class index), then hand the
     data rows to the common row reader."""
     n_attrs = 0
-    nominal_index = None
+    nominal = (None, ())
     for pos, (lineno, text) in enumerate(lines):
         lowered = text.lower()
         if lowered.startswith("@relation"):
@@ -151,11 +155,13 @@ def _parse_arff(lines, label_column, dataset_id):
                 raise ParseError(f"line {lineno}: malformed @attribute declaration")
             kind = m.group(2).strip()
             if kind.startswith("{"):
-                if nominal_index is not None:
+                if not kind.endswith("}"):
+                    raise ParseError(f"line {lineno}: unclosed nominal declaration {kind!r}")
+                if nominal[0] is not None:
                     raise ParseError(
                         f"line {lineno}: more than one nominal attribute; only a single class attribute is supported"
                     )
-                nominal_index = n_attrs
+                nominal = (n_attrs, set(_split_line(kind[1:-1], "arff", lineno)))
             elif kind.lower() not in ("numeric", "real", "integer"):
                 raise ParseError(f"line {lineno}: unsupported attribute type {kind!r}")
             n_attrs += 1
@@ -167,8 +173,9 @@ def _parse_arff(lines, label_column, dataset_id):
             if not data_rows:
                 raise EmptyDataError("ARFF file has no data rows")
             if label_column is None:
-                label_column = nominal_index
-            return _parse_delimited(data_rows, "arff", label_column, dataset_id, width=n_attrs)
+                label_column = nominal[0]
+            return _parse_delimited(data_rows, "arff", label_column, dataset_id, width=n_attrs,
+                                    nominal=nominal)
         raise ParseError(f"line {lineno}: unexpected content in ARFF header: {text!r}")
     raise ParseError("missing @data section")
 

@@ -66,13 +66,11 @@ class KdiParams:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.ambiguous_variant not in AMBIGUOUS:
-            raise ValueError(f"ambiguous_variant must be one of {tuple(AMBIGUOUS)}")
-        if self.similarity_variant not in SIMILARITY:
-            raise ValueError(f"similarity_variant must be one of {tuple(SIMILARITY)}")
         for name, least in (("mc_samples", 1), ("min_cluster_size", 0), ("seed", 0)):
             _check_count(name, getattr(self, name), least)
-        for name, allowed in (("s_v3_center", S_V3_CENTERS), ("s_v3_metric", S_V3_METRICS)):
+        for name, allowed in (("ambiguous_variant", tuple(AMBIGUOUS)),
+                              ("similarity_variant", tuple(SIMILARITY)),
+                              ("s_v3_center", S_V3_CENTERS), ("s_v3_metric", S_V3_METRICS)):
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")

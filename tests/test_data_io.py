@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,18 @@ def test_arff_unclosed_quote_names_its_line(tmp_path, row):
     arff = tmp_path / "open.arff"
     arff.write_text(f"@relation r\n@attribute x numeric\n@attribute c {{q,b}}\n@data\n2,b\n{row}\n")
     with pytest.raises(ParseError, match="line 6: unclosed or stray quote"):
+        load_dataset(arff, "arff")
+
+
+@pytest.mark.parametrize("declared, row, message", [
+    ("{a,b}", "2,zzz", "line 6: nominal value 'zzz' is not declared"),
+    ("{a,b}", "3,{b}", "line 6: nominal value '{b}' is not declared"),
+    ("{a,b", "2,a", "line 3: unclosed nominal declaration"),
+])
+def test_arff_nominal_values_match_their_declaration(tmp_path, declared, row, message):
+    arff = tmp_path / "nominal.arff"
+    arff.write_text(f"@relation r\n@attribute x numeric\n@attribute c {declared}\n@data\n1,a\n{row}\n")
+    with pytest.raises(ParseError, match=re.escape(message)):
         load_dataset(arff, "arff")
 
 

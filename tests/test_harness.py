@@ -668,6 +668,26 @@ def test_cli_bench(tmp_path):
     assert grid[0] == "index,a,b"
 
 
+def test_cli_bench_aggregates_reports_without_candidates(tmp_path, monkeypatch):
+    seen = []
+
+    def aggregate(reports):
+        seen.extend(reports)
+        return aggregate_accuracy(reports)
+
+    monkeypatch.setattr(cli, "aggregate_accuracy", aggregate)
+    for seed, name in ((6, "a"), (7, "b")):
+        save_dataset_csv(make_blobs(2, 8, [(0, 0), (8, 8)], 0.5, seed=seed, id=name),
+                         tmp_path / f"{name}.csv")
+    out = tmp_path / "bench"
+    assert cli.main(["bench", str(tmp_path), "--label-column", "-1", "--k-min", "2",
+                     "--k-max", "3", "--seed", "1", "--out", str(out)]) == 0
+    assert [r.dataset_id for r in seen] == ["a", "b"]
+    assert all(r.rows == [] and r.candidates == [] for r in seen)
+    assert all(set(r.success) == {"ch", "sc", "db", "new"} for r in seen)
+    assert (out / "a" / "candidates").is_dir()
+
+
 def test_cli_bench_quotes_a_comma_in_a_dataset_id(tmp_path):
     data = tmp_path / "data"
     data.mkdir()

@@ -3,6 +3,7 @@ variant, and the range of the scores on degenerate inputs."""
 
 import itertools
 import math
+import types
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -30,6 +31,16 @@ def test_public_surface_resolves():
     namespace = {}
     exec("from kdeval import *", namespace)
     assert set(kdeval.__all__) <= set(namespace)
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from kdeval import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(kdeval.__all__)
+    assert kdeval.__all__ == sorted(kdeval.__all__)
+    for name in kdeval.__all__:
+        assert not name.startswith("_"), name
+        assert not isinstance(getattr(kdeval, name), types.ModuleType), name
 
 
 def _scores(data, partition, seed):
