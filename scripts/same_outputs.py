@@ -1,5 +1,6 @@
 """Output identity between checkouts: every perfbench evaluation's written
-files, plus default-config evaluations, hashed per checkout and compared.
+files, plus default-config evaluations and a calibration, hashed per
+checkout and compared.
 
     python3 scripts/same_outputs.py --root <checkout> --root <checkout> [--seeds 401 402]
 
@@ -17,12 +18,16 @@ workloads use, drawn with numpy.random.default_rng((seed, 0)) and keyed
 fallback bandwidth, clusters fall below the CV bound's size gate and GMM runs
 at high k.  The digest of an evaluation is a SHA-256 over the relative path
 and bytes of every file it wrote except runtime.txt, the candidate directory
-included.
+included.  Each seed also runs `calibrate` with
+`build_run_config(seed=seed, k_min=2, k_max=6)` on those three n=400
+datasets, and the SHA-256 of the `calibrated.ini` it writes is keyed
+`calibrate/<seed>`.
 
 Standard output is one JSON object: each root's digest per
-`workload/seed/index` and `default400/recipe/seed`, the count of evaluations,
-and the keys whose digests differ between the roots.  The exit status is 1
-when any key differs and 2 when the evaluations of a root fail.
+`workload/seed/index`, `default400/recipe/seed` and `calibrate/seed`, the
+count of evaluations, and the keys whose digests differ between the roots.
+The exit status is 1 when any key differs and 2 when the evaluations of a
+root fail.
 """
 
 import argparse
@@ -68,8 +73,7 @@ def child(root, seeds):
     recipes = {workload.recipe.__name__: workload.recipe for workload in WORKLOADS.values()}
     digests = {}
     with tempfile.TemporaryDirectory() as work:
-        def record(key, config, points, labels, dataset_id):
-            dataset = kdeval.data_io.Dataset(points, labels, id=dataset_id)
+        def record(key, config, dataset):
             out = os.path.join(work, key.replace("/", "_"))
             report = kdeval.harness.evaluate_dataset(config, dataset)
             kdeval.harness.write_report(report, out, dataset=dataset, emit_svgs=config.emit_svg)
@@ -81,14 +85,21 @@ def child(root, seeds):
                     seed=seed, k_min=workload.k_min, k_max=workload.k_max,
                     include_variants=workload.variants or None, emit_svg=workload.svg or None)
                 for index in range(workload.datasets):
-                    record(f"{name}/{seed}/{index}", config, *workload.generate(seed, index),
-                           f"dataset{index}")
+                    points, labels = workload.generate(seed, index)
+                    record(f"{name}/{seed}/{index}", config,
+                           kdeval.data_io.Dataset(points, labels, id=f"dataset{index}"))
         for seed in seeds:
             config = kdeval.build_run_config(seed=seed)
+            datasets = []
             for recipe_name, recipe in recipes.items():
                 points, labels = recipe(np.random.default_rng((seed, 0)), DEFAULT_N)
-                record(f"default{DEFAULT_N}/{recipe_name}/{seed}", config, points, labels,
-                       recipe_name)
+                datasets.append(kdeval.data_io.Dataset(points, labels, id=recipe_name))
+                record(f"default{DEFAULT_N}/{recipe_name}/{seed}", config, datasets[-1])
+            out = os.path.join(work, f"calibrated_{seed}.ini")
+            kdeval.harness.calibrate(kdeval.build_run_config(seed=seed, k_min=2, k_max=6),
+                                     datasets, out_path=out)
+            with open(out, "rb") as fh:
+                digests[f"calibrate/{seed}"] = hashlib.sha256(fh.read()).hexdigest()
     print(json.dumps(digests))
 
 

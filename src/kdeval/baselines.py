@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .density import KERNEL_BLOCK
+
 HIGHER_BETTER = "higher_better"
 SMALLER_BETTER = "smaller_better"
 
@@ -42,6 +44,12 @@ def _check_inputs(data, partition):
     return X, labels, partition.K
 
 
+def _clusters(X, partition):
+    """Each cluster's member rows and centroid, in cluster order."""
+    members = (X[idx] for idx in partition.members)
+    return ((rows, rows.mean(axis=0)) for rows in members)
+
+
 def calinski_harabasz(data, partition):
     """Between/within dispersion ratio scaled by (n - K)/(K - 1)."""
     X, _, K = _check_inputs(data, partition)
@@ -51,8 +59,7 @@ def calinski_harabasz(data, partition):
     global_center = X.mean(axis=0)
     tr_w = 0.0
     tr_b = 0.0
-    for members in (X[idx] for idx in partition.members):
-        center = members.mean(axis=0)
+    for members, center in _clusters(X, partition):
         tr_w += float(((members - center) ** 2).sum())
         tr_b += members.shape[0] * float(((center - global_center) ** 2).sum())
     if tr_w == 0.0:
@@ -66,11 +73,14 @@ def silhouette(data, partition, sums=None):
 
     a is the mean distance to the sample's own cluster (excluding itself), b
     the smallest mean distance to another cluster.  Samples in singleton
-    clusters contribute 0, as do samples with a = b = 0.  Memory is one
-    (cluster size x n) distance block at a time.  sums, a dict owned by the
-    caller and used for one dataset only, keeps each cluster's distance sums
-    by member-index bytes, so a cluster that another partition already has
-    costs no distance block.
+    clusters contribute 0, as do samples with a = b = 0.  A cluster of m
+    members gets its distance sums from column blocks X[a:b] of at least 2
+    and at most max(2, KERNEL_BLOCK // m) + 1 columns, each summed over axis
+    0 row after row, as the whole (m, n) block would be (numpy sums a
+    1-column block pairwise).  sums, a dict owned by the caller and used for
+    one dataset only, keeps each cluster's distance sums by member-index
+    bytes, so a cluster that another partition already has costs no
+    distance block.
     """
     X, labels, K = _check_inputs(data, partition)
     n = X.shape[0]
@@ -82,8 +92,10 @@ def silhouette(data, partition, sums=None):
     for idx in partition.members:
         key = idx.tobytes()
         if key not in sums:
-            # per-sample distance sums: axis 0, as the transpose sums in another order
-            sums[key] = cdist(X[idx], X).sum(axis=0)
+            members, step = X[idx], max(2, KERNEL_BLOCK // len(idx))
+            edges = [*range(0, n - 1, step), n]  # a start at n - 1 would leave 1 column
+            blocks = [cdist(members, X[a:b]).sum(axis=0) for a, b in zip(edges, edges[1:])]
+            sums[key] = np.concatenate(blocks)
         columns.append(sums[key])
     cluster_sums = np.column_stack(columns)
     rows = np.arange(n)
@@ -104,23 +116,16 @@ def davies_bouldin(data, partition):
     X, _, K = _check_inputs(data, partition)
     if K < 2:
         raise UndefinedScoreError(f"DB needs K >= 2, got K={K}")
-    clusters = [X[idx] for idx in partition.members]
-    centroids = np.array([members.mean(axis=0) for members in clusters])
-    sigma = np.array(
-        [
-            float(np.linalg.norm(members - centroids[q], axis=1).mean())
-            for q, members in enumerate(clusters)
-        ]
-    )
-    centroid_dist = cdist(centroids, centroids)
-    off_diag = centroid_dist[~np.eye(K, dtype=bool)]
-    if np.any(off_diag == 0.0):
+    members, centers = zip(*_clusters(X, partition))
+    sigma = np.array([np.linalg.norm(m - c, axis=1).mean() for m, c in zip(members, centers)])
+    d = cdist(centers, centers)
+    if np.any(d[~np.eye(K, dtype=bool)] == 0.0):
         raise UndefinedScoreError("DB undefined: coincident centroids")
-    total = 0.0
-    for i in range(K):
-        ratios = [(sigma[i] + sigma[j]) / centroid_dist[i, j] for j in range(K) if j != i]
-        total += max(ratios)
-    return IndexScore("db", float(total / K), SMALLER_BETTER)
+    # a diagonal ratio of 0 is no larger than any other, so a row's max is its worst pair
+    np.fill_diagonal(d, np.inf)
+    worst = ((sigma[:, None] + sigma[None, :]) / d).max(axis=1)
+    # summed in cluster order, as one running total would
+    return IndexScore("db", float(sum(worst.tolist()) / K), SMALLER_BETTER)
 
 
 def adjusted_rand_index(p, q):

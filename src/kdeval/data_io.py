@@ -171,13 +171,13 @@ def _parse_arff(lines, label_column, dataset_id):
                 raise ParseError(f"line {lineno}: @data before any @attribute")
             data_rows = lines[pos + 1:]
             if not data_rows:
-                raise EmptyDataError("ARFF file has no data rows")
+                raise EmptyDataError(f"line {lineno}: ARFF file has no data rows after @data")
             if label_column is None:
                 label_column = nominal[0]
             return _parse_delimited(data_rows, "arff", label_column, dataset_id, width=n_attrs,
                                     nominal=nominal)
         raise ParseError(f"line {lineno}: unexpected content in ARFF header: {text!r}")
-    raise ParseError("missing @data section")
+    raise ParseError(f"line {lines[-1][0]}: missing @data section (the file ends here)")
 
 
 def load_dataset(path, format="csv", label_column=None, id=None):

@@ -156,10 +156,14 @@ def _score_candidate(data, part, config, record, store):
             w = config.boundary_mix_weight
             scores["new3"] = (1.0 - w) * score.I + w * score.I_b
         if config.include_variants:
-            for prefix, table in (("ia_", AMBIGUOUS), ("is_", SIMILARITY)):
+            # the selected variants are the score's I_a and I_s, not computed again
+            for prefix, table, chosen, value in (
+                    ("ia_", AMBIGUOUS, params.ambiguous_variant, score.I_a),
+                    ("is_", SIMILARITY, params.similarity_variant, score.I_s)):
                 for name, variant in table.items():
                     if name != "main":
-                        scores[prefix + name] = variant(data, profiles, params)
+                        scores[prefix + name] = (value if name == chosen
+                                                 else variant(data, profiles, params))
         bandwidths = tuple(p.model.bandwidth for p in profiles)
     return scores, bandwidths
 

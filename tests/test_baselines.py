@@ -231,3 +231,57 @@ def test_ari_relabel_invariance_and_symmetry():
     assert adjusted_rand_index([-7 + 2.5 * v for v in a], [-v for v in b]) == pytest.approx(
         base, abs=1e-12
     )
+
+
+def _record_cdist(monkeypatch):
+    """Record the (rows, columns) shape of every cdist call in baselines."""
+    shapes = []
+    cdist = baselines.cdist
+
+    def recording(xa, xb, *args, **kwargs):
+        shapes.append((np.shape(xa)[0], np.shape(xb)[0]))
+        return cdist(xa, xb, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "cdist", recording)
+    return shapes
+
+
+def test_silhouette_blocks_stay_within_the_kernel_block(monkeypatch):
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([rng.normal(0, 1, (640, 3)), rng.normal(6, 1, (160, 3))])
+    ds = Dataset(pts, id="big-cluster")
+    part = canonicalize([0] * 640 + [1] * 160)
+    shapes = _record_cdist(monkeypatch)
+    sums = {}
+    silhouette(ds, part, sums=sums)
+    for idx in part.members:
+        m = len(idx)
+        widths = [w for rows, w in shapes if rows == m]
+        assert sum(widths) == ds.n
+        assert all(2 <= w <= max(2, baselines.KERNEL_BLOCK // m) + 1 for w in widths)
+        # the blocked sums keep the bits of the whole (m, n) block's axis-0 sum
+        whole = baselines.cdist(pts[idx], pts).sum(axis=0)
+        assert np.array_equal(sums[idx.tobytes()], whole)
+    assert len([w for rows, w in shapes if rows == 640]) > 1  # the large cluster is split
+
+
+@pytest.mark.parametrize(
+    "block, n, widths",
+    [
+        (20, 9, [4, 5]),  # a 1-column tail joins the block before it
+        (20, 11, [4, 4, 3]),
+        (4, 9, [2, 2, 2, 3]),  # never fewer than 2 columns
+    ],
+)
+def test_silhouette_blocks_never_leave_one_column(monkeypatch, block, n, widths):
+    monkeypatch.setattr(baselines, "KERNEL_BLOCK", block)
+    rng = np.random.default_rng(n)
+    pts = rng.normal(0, 1e3, (n, 2))
+    labels = [0] * 5 + [1] * (n - 5)
+    part = canonicalize(labels)
+    shapes = _record_cdist(monkeypatch)
+    sums = {}
+    silhouette(Dataset(pts, id="tail"), part, sums=sums)
+    assert [w for rows, w in shapes if rows == 5] == widths
+    idx = part.members[0]
+    assert np.array_equal(sums[idx.tobytes()], baselines.cdist(pts[idx], pts).sum(axis=0))

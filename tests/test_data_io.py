@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from kdeval import cli
 from kdeval.data_io import (
     Dataset,
     EmptyDataError,
@@ -266,3 +267,32 @@ def test_byte_order_mark_is_not_data(tmp_path, fmt):
     assert a.id == b.id
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.reference_labels, b.reference_labels)
+
+
+@pytest.mark.parametrize(
+    "header, error, message",
+    [
+        ("@relation r\n@attribute x\n@data\n1\n", ParseError,
+         "line 2: malformed @attribute declaration"),
+        ("@relation r\n@attribute c {a,b}\n@attribute d {x,y}\n@data\na,x\n", ParseError,
+         "line 3: more than one nominal attribute"),
+        ("@relation r\n@attribute x numeric\n@attribute s string\n@data\n1,a\n", ParseError,
+         "line 3: unsupported attribute type 'string'"),
+        ("% comment\n@relation r\n@data\n1\n", ParseError,
+         "line 3: @data before any @attribute"),
+        ("@relation r\n@attribute x numeric\n@data\n% no rows\n", EmptyDataError,
+         "line 3: ARFF file has no data rows after @data"),
+        ("@relation r\n@attribute x numeric\nx y\n@data\n1\n", ParseError,
+         "line 3: unexpected content in ARFF header: 'x y'"),
+        ("@relation r\n@attribute x numeric\n\n", ParseError,
+         "line 2: missing @data section"),
+    ],
+)
+def test_arff_header_errors_name_their_line(tmp_path, capsys, header, error, message):
+    path = tmp_path / "h.arff"
+    path.write_text(header)
+    with pytest.raises(error, match=re.escape(message)):
+        load_dataset(path, "arff")
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(path), "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {message}")

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -12,11 +13,12 @@ from kdeval import baselines, cli, density, harness, kdi
 from kdeval.baselines import HIGHER_BETTER, SMALLER_BETTER
 from kdeval.config import (
     ENV_CONFIG,
+    RunConfig,
     build_run_config,
     load_config_file,
     save_params_config,
 )
-from kdeval.data_io import Dataset, make_blobs, save_dataset_csv
+from kdeval.data_io import Dataset, load_dataset, make_blobs, save_dataset_csv
 from kdeval.density import BandwidthSearchSpec, choose_bandwidth
 from kdeval.harness import (
     aggregate_accuracy,
@@ -388,7 +390,7 @@ def test_cluster_store_makes_one_neighbour_query_per_dataset(monkeypatch):
     cdist = baselines.cdist
 
     def recording(xa, xb, *args, **kwargs):
-        blocks.append(np.shape(xa)[0])
+        blocks.append((np.asarray(xa).tobytes(), np.shape(xb)[0]))
         return cdist(xa, xb, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_neighbour_lists", counting)
@@ -408,8 +410,12 @@ def test_cluster_store_makes_one_neighbour_query_per_dataset(monkeypatch):
         blocks.clear()
         report = evaluate_dataset(config, ds)
         assert queries == expected
-        # one silhouette block per distinct cluster, although released sums are dropped
-        assert len(blocks) == len(set(_member_sets(report.candidates)))
+        # one pass of silhouette blocks over the n columns per distinct cluster,
+        # although released sums are dropped
+        columns = {}
+        for members, width in blocks:
+            columns[members] = columns.get(members, 0) + width
+        assert list(columns.values()) == [ds.n] * len(set(_member_sets(report.candidates)))
     # the bandwidths are those of clusters searched on their own
     monkeypatch.setattr(density, "_neighbour_lists", lists)
     for row, part in zip(report.rows, report.candidates):
@@ -430,6 +436,35 @@ def test_cluster_store_drops_sums_after_their_last_candidate():
         store.release(pos)
         assert set(store.sums) <= set(_member_sets(candidates[pos + 1 :]))
     assert not store.sums
+
+
+def test_selected_variant_column_is_the_score_not_a_second_call(monkeypatch, tmp_path):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].id)
+        return ambiguous_v3(*args, **kwargs)
+
+    monkeypatch.setattr(kdi, "ambiguous_v3", spy)
+    ds = make_blobs(2, 30, [(0, 0), (4, 0)], sigma=1.0, seed=8, id="v")
+    selected = build_run_config(seed=1, k_min=2, k_max=3, include_variants=True,
+                                ambiguous_variant="v3", mc_samples=2000)
+    report = evaluate_dataset(selected, ds)
+    assert len(calls) == len(report.rows)  # one Monte-Carlo run per candidate
+    write_report(report, tmp_path / "v3", dataset=ds)
+    # with main selected, ia_v3 is an ordinary variant column, computed by its own call
+    main = dataclasses.replace(
+        selected, kdi_params=dataclasses.replace(selected.kdi_params, ambiguous_variant="main"))
+    write_report(evaluate_dataset(main, ds), tmp_path / "main", dataset=ds)
+    tables = {}
+    for name in ("v3", "main"):
+        with open(tmp_path / name / "report.csv", newline="", encoding="utf-8") as fh:
+            tables[name] = list(csv.DictReader(fh))
+    same = [col for col in tables["main"][0] if col not in ("new", "new_ia", "rank_new")]
+    assert "ia_v3" in same
+    for row_v3, row_main in zip(tables["v3"], tables["main"], strict=True):
+        assert [row_v3[col] for col in same] == [row_main[col] for col in same]
+        assert row_v3["new_ia"] == row_v3["ia_v3"]
 
 
 def test_calibrate_fits_each_distinct_cluster_once_across_alphas(monkeypatch):
@@ -940,3 +975,96 @@ def test_cli_error_taxonomy(tmp_path, capsys):
         assert cli.main(["evaluate", str(unlabeled), "--seed", "1", "--config", str(bad_grid),
                          "--out", out]) == 1
         assert capsys.readouterr().err.startswith("usage error"), grid
+
+
+def test_cli_calibrate_writes_params_that_read_back(tmp_path, capsys):
+    for seed, name in ((6, "a"), (7, "b")):
+        save_dataset_csv(make_blobs(2, 8, [(0, 0), (8, 8)], 0.5, seed=seed, id=name),
+                         tmp_path / f"{name}.csv")
+    train = tmp_path / "train.txt"
+    train.write_text("a.csv\nb.csv\n")
+    out = tmp_path / "cal"
+    capsys.readouterr()
+    assert cli.main(["calibrate", str(tmp_path), "--train-list", str(train), "--label-column",
+                     "-1", "--seed", "1", "--k-min", "2", "--k-max", "3", "--out", str(out)]) == 0
+    ini = out / "calibrated.ini"
+    rebuilt = build_run_config(seed=None, file_overrides=load_config_file(ini)).kdi_params
+    datasets = [load_dataset(tmp_path / f"{name}.csv", label_column=-1) for name in "ab"]
+    assert rebuilt == calibrate(build_run_config(seed=1, k_min=2, k_max=3), datasets)
+    assert capsys.readouterr().out.splitlines() == [
+        f"calibrated on 2 datasets -> {ini}",
+        f"delta={rebuilt.delta} alpha1={rebuilt.alpha1} alpha2={rebuilt.alpha2}",
+    ]
+
+
+def test_cli_format_decides_an_unknown_extension(tmp_path, capsys):
+    path = tmp_path / "points.xyz"
+    save_dataset_csv(_easy_dataset(), path)
+    args = ["evaluate", str(path), "--seed", "1", "--k-min", "2", "--k-max", "2",
+            "--indices", "ch", "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err.startswith("usage error: cannot infer format of")
+    assert cli.main(args + ["--format", "csv"]) == 0
+    assert (tmp_path / "o" / "report.csv").exists()
+
+
+def test_cli_unknown_index_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "easy.csv"
+    save_dataset_csv(_easy_dataset(), path)
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(path), "--seed", "1", "--indices", "foo",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("usage error: unknown indices: ['foo']")
+
+
+def test_cli_rank_with_a_wrong_length_partition_is_data_error(tmp_path, capsys):
+    path = tmp_path / "easy.csv"
+    save_dataset_csv(_easy_dataset(), path)
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    (parts / "short.txt").write_text("0\n1\n0\n")
+    capsys.readouterr()
+    assert cli.main(["rank", str(path), "--partitions", str(parts), "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "data error: partition 'short' has 3 labels for 20 points")
+
+
+def test_cli_bench_without_dataset_files_is_data_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.md").write_text("not a dataset\n")
+    for directory, message in ((missing, "cannot list"), (empty, "no dataset files found in")):
+        capsys.readouterr()
+        assert cli.main(["bench", str(directory), "--seed", "1",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {message}")
+
+
+def test_cli_calibrate_unreadable_train_list_is_data_error(tmp_path, capsys):
+    capsys.readouterr()
+    assert cli.main(["calibrate", str(tmp_path), "--train-list", str(tmp_path / "none.txt"),
+                     "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("data error: cannot read train list")
+
+
+def test_run_config_built_directly():
+    assert RunConfig(seed=4).kdi_params == KdiParams(seed=4)
+    for kwargs, message in (
+        (dict(seed=None), "seed is mandatory"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(seed=1, k_min=0), "bad k range [0, 30]"),
+        (dict(seed=1, k_min=5, k_max=4), "bad k range [5, 4]"),
+        (dict(seed=1, indices=()), "indices must name at least one index"),
+        (dict(seed=1, indices=("ch", "foo")), "unknown indices: ['foo']"),
+        (dict(seed=1, generators=()), "generators must name at least one generator"),
+        (dict(seed=1, generators=("kmeans", "spectral")), "unknown generators: ['spectral']"),
+        (dict(seed=1, boundary_mix_weight=1.5), "boundary_mix_weight must be in [0, 1]"),
+        (dict(seed=1, bandwidth_grid=(1.0, 0.5)), "bandwidth grid must be strictly increasing"),
+        (dict(seed=1, bandwidth_grid=(0.0, 1.0)), "bandwidth candidates must be positive"),
+        (dict(seed=1, folds=1), "folds must be an integer >= 2, got 1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(**kwargs)
