@@ -16,18 +16,21 @@ ch/sc/db/new, no variants, no SVGs), on one n=400 dataset of each recipe the
 workloads use, drawn with numpy.random.default_rng((seed, 0)) and keyed
 `default400/<recipe>/<seed>`: that range is where singletons take the
 fallback bandwidth, clusters fall below the CV bound's size gate and GMM runs
-at high k.  The digest of an evaluation is a SHA-256 over the relative path
-and bytes of every file it wrote except runtime.txt, the candidate directory
-included.  Each seed also runs `calibrate` with
-`build_run_config(seed=seed, k_min=2, k_max=6)` on those three n=400
-datasets, and the SHA-256 of the `calibrated.ini` it writes is keyed
-`calibrate/<seed>`.
+at high k.  The n=400 `two_rings` dataset is also evaluated with
+`build_run_config(seed=seed, include_variants=True)`, keyed
+`variants400/two_rings/<seed>`: the Monte-Carlo variant then meets
+singletons, small clusters and many profiles.  The digest of an evaluation
+is a SHA-256 over the relative path and bytes of every file it wrote except
+runtime.txt, the candidate directory included.  Each seed also runs
+`calibrate` with `build_run_config(seed=seed, k_min=2, k_max=6)` on those
+three n=400 datasets, and the SHA-256 of the `calibrated.ini` it writes is
+keyed `calibrate/<seed>`.
 
 Standard output is one JSON object: each root's digest per
-`workload/seed/index`, `default400/recipe/seed` and `calibrate/seed`, the
-count of evaluations, and the keys whose digests differ between the roots.
-The exit status is 1 when any key differs and 2 when the evaluations of a
-root fail.
+`workload/seed/index`, `default400/recipe/seed`, `variants400/two_rings/seed`
+and `calibrate/seed`, the count of evaluations, and the keys whose digests
+differ between the roots.  The exit status is 1 when any key differs and 2
+when the evaluations of a root fail.
 """
 
 import argparse
@@ -95,6 +98,9 @@ def child(root, seeds):
                 points, labels = recipe(np.random.default_rng((seed, 0)), DEFAULT_N)
                 datasets.append(kdeval.data_io.Dataset(points, labels, id=recipe_name))
                 record(f"default{DEFAULT_N}/{recipe_name}/{seed}", config, datasets[-1])
+                if recipe_name == "two_rings":
+                    record(f"variants{DEFAULT_N}/{recipe_name}/{seed}",
+                           kdeval.build_run_config(seed=seed, include_variants=True), datasets[-1])
             out = os.path.join(work, f"calibrated_{seed}.ini")
             kdeval.harness.calibrate(kdeval.build_run_config(seed=seed, k_min=2, k_max=6),
                                      datasets, out_path=out)

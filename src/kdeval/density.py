@@ -6,11 +6,13 @@ still get a finite log-density.  Every KDE value comes from the one kernel,
 _log_kde.  Bandwidths come from a cross-validated grid search that skips the
 grid values a nearest-neighbour bound rules out (_cv_survivors), with a
 Scott-style fallback for clusters too small to cross-validate.  Monte-Carlo
-territory tests skip the queries that cannot reach a territory.
+territory tests (_territory_sides) bound the kernel over blocks of samples
+and run it exactly only at a territory's edge.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -52,6 +54,14 @@ NARROW_WIDTH = 16
 # Smallest cluster on which _cv_scores runs the _cv_survivors bound; on smaller
 # ones it costs more than the grid values it rules out (break-even 80-90 points).
 CV_BOUND_MIN = 90
+
+# Most samples per block of _sample_blocks (the leaf size of its k-d tree).
+SAMPLE_BLOCK = 256
+
+# _territory_sides sums the kernel over the training points within
+# sqrt(2h^2 * _TRUNCATE_NATS) of a block's box (or within the reach radius, if
+# wider); each point left out has a term below e^-12, where a term is 1 at distance 0.
+_TRUNCATE_NATS = 12.0
 
 
 @dataclass(frozen=True)
@@ -174,25 +184,103 @@ def log_density_many(model, queries):
     return _log_kde(q, model.training_points, (model.bandwidth,))[0]
 
 
-def _log_density_above(model, queries, lo):
-    """Log KDE density at each query row that can reach lo, a territory's
-    lower end, and -inf at the others; territory_membership sorts the column
-    as it sorts log_density_many's values.
+class SampleBlocks(NamedTuple):
+    """Query points in block order: block b is rows edges[b]:edges[b + 1] of
+    points, inside the box [low[b], high[b]]."""
+
+    points: np.ndarray
+    edges: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+
+
+def _sample_blocks(samples):
+    """The (n, d) samples as SampleBlocks: the leaves, in order, of a k-d tree
+    with at most SAMPLE_BLOCK samples per leaf, each with its tight box."""
+    tree = cKDTree(samples, leafsize=SAMPLE_BLOCK)
+    edges, stack = [0], [tree.tree]
+    while stack:
+        node = stack.pop()
+        if node.greater is None:
+            edges.append(node.end_idx)
+        else:
+            stack += [node.greater, node.lesser]
+    points = samples[tree.indices]
+    starts = np.array(edges[:-1])
+    return SampleBlocks(points, np.array(edges), np.minimum.reduceat(points, starts),
+                        np.maximum.reduceat(points, starts))
+
+
+def _box_sq(blocks, points):
+    """(blocks, m) squared distances from each block's box to each (m, d) point."""
+    sq = np.zeros((len(blocks.low), len(points)))
+    for k in range(points.shape[1]):
+        gap = np.maximum(blocks.low[:, k, None] - points[:, k], points[:, k] - blocks.high[:, k, None])
+        sq += np.maximum(gap, 0.0) ** 2
+    return sq
+
+
+def _territory_sides(model, blocks, lo, hi):
+    """Bool column over blocks.points: lo <= log f(x) <= hi, exactly as
+    territory_membership reads it from log_density_many's values.
 
     A log-sum-exp of m terms is at most its largest term plus the log m that
     the norm subtracts, so log f(x) <= top - dmin(x)^2 / 2h^2, with top = -d*log
     h - (d/2)*log 2pi and dmin(x) the distance to the nearest training point.
-    Rows where that bound is below lo by over 1 + 1e-9 (|lo| + |top|), far more
-    than rounding, get -inf; the kept rows get log_density_many's bits.
+    A block whose box lies beyond reach^2 = 2h^2 (top - lo + 1 + 1e-9 (|lo| +
+    |top|)) of every point is outside.  In the other blocks, the points within
+    R^2 = max(2h^2 _TRUNCATE_NATS, reach^2) of the box are included, and the
+    kernel's clamped log-sum-exp over them gives lb; ub adds each excluded
+    point as if it lay at the least excluded box distance, which no row is
+    nearer.  A row is inside when lb >= lo + s and ub <= hi - s, and outside
+    when ub < lo - s or lb > hi + s, with s = 1e-6 + 1e-9 (|lb| + |ub| + |norm|).
+
+    Why the slack suffices: the clamp at EXP_CLAMP raises a sum by at most m
+    e^-700 of its largest term, in lb and in the exact kernel alike.  Both
+    compute each term as -sq / 2h^2 with the same division, shift it by the
+    row max and take log(sum) + max - norm, so each is within a few ulps of
+    |max| + |norm| plus m ulps of the sum; |max| is at most |value| + |norm| +
+    log m, and ub's excluded term, log(count) - box^2 / 2h^2, is within a few
+    ulps of itself.  Their gap is thus below 1e-9 (|lb| + |ub| + |norm|) plus
+    1e-6 nat for m below 1e9.  The reach radius carries a whole nat, and a box
+    distance is within a few ulps of every row's distance below it.  Rows
+    left undecided, non-finite bounds included, and every row when 2h^2 is
+    not a normal float, go through _log_kde in one call and are compared
+    exactly.
     """
-    pts = model.training_points
-    d, h = pts.shape[1], model.bandwidth
-    top = -d * math.log(h) - 0.5 * d * LOG_2PI
-    radius = h * math.sqrt(2.0 * (top - lo + 1.0 + 1e-9 * (abs(lo) + abs(top))))
-    keep = np.flatnonzero(cKDTree(pts).query(queries, distance_upper_bound=radius)[0] < np.inf)
-    out = np.full(queries.shape[0], -np.inf)
-    out[keep] = _log_kde(queries[keep], pts, (h,))[0]
-    return out
+    pts, h = model.training_points, model.bandwidth
+    m, d = pts.shape
+    queries, edges = blocks.points, blocks.edges
+    c = 2.0 * h * h
+    norm = math.log(m) + d * math.log(h) + 0.5 * d * LOG_2PI
+    lse = np.full(len(queries), np.nan)
+    far = np.full(len(edges) - 1, np.nan)  # log(excluded count) - least excluded box^2 / 2h^2
+    outside = np.zeros(len(queries), dtype=bool)
+    if np.finfo(np.float64).tiny <= c < math.inf:
+        top = math.log(m) - norm
+        reach2 = c * (top - lo + 1.0 + 1e-9 * (abs(lo) + abs(top)))
+        box = _box_sq(blocks, pts)
+        near = box.min(axis=1)
+        outside = np.repeat(near > reach2, np.diff(edges))
+        kept = box <= max(c * _TRUNCATE_NATS, reach2)
+        with np.errstate(all="ignore"):
+            far = np.log(m - kept.sum(axis=1)) - np.where(kept, np.inf, box).min(axis=1) / c
+        for b in np.flatnonzero(near <= reach2):
+            rows, near_pts = queries[edges[b] : edges[b + 1]], pts[kept[b]]
+            lse[edges[b] : edges[b + 1]] = _lse_blocks(
+                lambda r0, r1: cdist(rows[r0:r1], near_pts, "sqeuclidean"),
+                len(rows), len(near_pts), (h,))[0]
+    with np.errstate(all="ignore"):
+        lb = lse - norm
+        ub = np.logaddexp(lse, np.repeat(far, np.diff(edges))) - norm
+        s = 1e-6 + 1e-9 * (np.abs(lb) + np.abs(ub) + abs(norm))
+        bounded = np.isfinite(lb) & np.isfinite(ub)
+        inside = bounded & (lb >= lo + s) & (ub <= hi - s)
+        outside |= bounded & ((ub < lo - s) | (lb > hi + s))
+    exact = np.flatnonzero(~(inside | outside))
+    value = _log_kde(queries[exact], pts, (h,))[0]
+    inside[exact] = (value >= lo) & (value <= hi)
+    return inside
 
 
 def log_density(model, x):

@@ -11,6 +11,7 @@ Cross-cluster reductions use math.fsum so scores are bit-identical under any
 relabeling of the clusters.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,8 @@ import numpy as np
 from .density import (
     BandwidthSearchSpec,
     _check_count,
-    _log_density_above,
+    _sample_blocks,
+    _territory_sides,
     choose_bandwidth,
     fit_kde,
     log_density_many,
@@ -173,7 +175,8 @@ def cross_log_density(data, profiles):
 
 def territory_membership(log_matrix, intervals):
     """(n, K) bool matrix: column j's log-likelihoods inside the closed
-    interval intervals[j].  The one place points are assigned to territories."""
+    interval intervals[j].  The one place dataset points are assigned to
+    territories (density._territory_sides places the Monte-Carlo samples)."""
     lo, hi = np.asarray(intervals, dtype=np.float64).reshape(-1, 2).T
     return (log_matrix >= lo) & (log_matrix <= hi)
 
@@ -284,22 +287,32 @@ def ambiguous_v2(data, profiles, log_matrix=None, pair_local=True):
     return math.fsum(positives) / len(positives) if positives else 0.0
 
 
+@functools.lru_cache(maxsize=1)
+def _mc_blocks(low, high, mc_samples, seed):
+    """ambiguous_v3's samples, uniform over the box between the float64 bytes
+    low and high, as read-only density.SampleBlocks; cached, since every
+    candidate of a dataset draws the same ones."""
+    rng = np.random.default_rng(seed)
+    low, high = np.frombuffer(low), np.frombuffer(high)
+    blocks = _sample_blocks(rng.uniform(low, high, size=(mc_samples, len(low))))
+    for array in blocks:
+        array.flags.writeable = False
+    return blocks
+
+
 def ambiguous_v3(data, profiles, mc_samples, seed):
     """Monte-Carlo territory-area variant: the disputed fraction of the area
     covered by at least one territory, sampled uniformly over the bounding
     box of the data padded by a tenth of its width per side (0.1 on a flat
-    axis).  Samples that cannot reach a territory are skipped (see
-    density._log_density_above)."""
+    axis).  Each sample's side of each territory comes from
+    density._territory_sides, which runs the exact kernel only on samples
+    near a territory's edge."""
     if len(profiles) < 2:
         return 0.0
     lo, hi = data.points.min(axis=0), data.points.max(axis=0)
     pad = np.where(hi > lo, 0.1 * (hi - lo), 0.1)
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(lo - pad, hi + pad, size=(int(mc_samples), data.points.shape[1]))
-    values = np.column_stack(
-        [_log_density_above(p.model, samples, p.territory[0]) for p in profiles]
-    )
-    hits = territory_membership(values, [p.territory for p in profiles]).sum(axis=1)
+    blocks = _mc_blocks((lo - pad).tobytes(), (hi + pad).tobytes(), int(mc_samples), seed)
+    hits = np.sum([_territory_sides(p.model, blocks, *p.territory) for p in profiles], axis=0)
     in_any = int((hits >= 1).sum())
     if in_any == 0:
         return 0.0

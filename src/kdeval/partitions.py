@@ -7,6 +7,7 @@ occurrence) so equality up to relabeling is a plain array comparison.
 """
 
 import csv
+import functools
 import os
 import warnings
 from dataclasses import dataclass
@@ -54,11 +55,14 @@ class Partition:
     def n(self):
         return self.labels.shape[0]
 
-    @property
+    @functools.cached_property
     def members(self):
-        """Ascending member indices of each cluster 0..K-1, one array each:
-        the one place labels become member sets."""
-        return [np.flatnonzero(self.labels == q) for q in range(self.K)]
+        """Ascending member indices of each cluster 0..K-1, one read-only array
+        each, computed on first read: the one place labels become member sets."""
+        members = tuple(np.flatnonzero(self.labels == q) for q in range(self.K))
+        for idx in members:
+            idx.flags.writeable = False
+        return members
 
     def key(self):
         """Bytes key for equality-up-to-relabeling (labels are canonical)."""

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
@@ -516,14 +518,34 @@ def test_kernel_temporaries_stay_within_kernel_block(monkeypatch):
         return out
 
     monkeypatch.setattr(density, "cdist", recording_cdist)
-    queries = rng.standard_normal((20000, 2))
-    column = density._log_density_above(model, queries, -1e3)  # every row kept
-    assert np.all(np.isfinite(column)) and sum(blocks) == 20000 * 450
+    queries = density._sample_blocks(rng.standard_normal((20000, 2)))
+    # every row decided inside from its bounds, every point in every block's sum
+    assert density._territory_sides(model, queries, -1e3, np.inf).all()
+    assert sum(blocks) == 20000 * 450
     assert len(blocks) > 1 and max(blocks) <= KERNEL_BLOCK
+    blocks.clear()
+    model = fit_kde(rng.standard_normal((450, 8)), 1.0)
+    for rows in (250, 20000):  # 250: one block holds every sample
+        queries = density._sample_blocks(rng.standard_normal((rows, 8)))
+        assert (len(queries.edges) == 2) == (rows == 250)
+        exact = log_density_many(model, queries.points)
+        lo, hi = np.quantile(exact, (0.3, 0.7))
+        blocks.clear()
+        sides = density._territory_sides(model, queries, lo, hi)
+        np.testing.assert_array_equal(sides, (exact >= lo) & (exact <= hi))
+        assert sum(blocks) > KERNEL_BLOCK >= max(blocks)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-3, 1.0, 1e3, 1e150])
-def test_territory_sides_match_exact_kernel_with_ends_on_sample_values(scale):
+def test_territory_sides_match_exact_kernel_with_ends_on_sample_values(scale, monkeypatch):
+    recomputed = []
+    log_kde = density._log_kde
+
+    def recording(queries, points, hs):
+        recomputed.extend(row.tobytes() for row in queries)
+        return log_kde(queries, points, hs)
+
+    monkeypatch.setattr(density, "_log_kde", recording)
     rng = np.random.default_rng(31)
     cases = []
     for d in (1, 2, 4):
@@ -532,21 +554,41 @@ def test_territory_sides_match_exact_kernel_with_ends_on_sample_values(scale):
         queries = 4.0 * scale * rng.uniform(-1.0, 1.0, (3000, d))
         queries[: len(pts)] = pts  # queries on training points
         for h in (0.05, 0.3, 2.0):
-            cases.append((fit_kde(pts, scale * h), queries))
-    for model, queries in cases:
-        exact = log_density_many(model, queries)
+            cases.append((fit_kde(pts, scale * h), density._sample_blocks(queries)))
+    for model, blocks in cases:
+        exact = log_density_many(model, blocks.points)
         ranked = np.sort(exact[~np.isnan(exact)])
         if not ranked.size:  # near 1e-170 sq and 2h^2 underflow to 0: every value is nan
             ranked = np.array([-np.inf])
         n = len(ranked)
         for lo, hi in ((ranked[n // 10], ranked[9 * n // 10]), (ranked[n // 2], ranked[n // 2]),
                        (ranked[0], ranked[-1])):  # ends exactly on sample values
-            column = density._log_density_above(model, queries, lo)
-            inside = (exact >= lo) & (exact <= hi)
-            np.testing.assert_array_equal((column >= lo) & (column <= hi), inside)
-            # kept rows carry the kernel's bits; dropped rows are exactly below lo
-            kept = column.view(np.uint64) == exact.view(np.uint64)
-            assert np.all(kept | ((column == -np.inf) & (exact < lo))), (scale, model.d, lo, hi)
+            recomputed.clear()
+            sides = density._territory_sides(model, blocks, lo, hi)
+            np.testing.assert_array_equal(sides, (exact >= lo) & (exact <= hi))
+            # a row whose value is an end is never decided from its bounds
+            on_end = blocks.points[(exact == lo) | (exact == hi)]
+            assert recomputed and {row.tobytes() for row in on_end} <= set(recomputed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), m=st.integers(1, 600),
+       rows=st.integers(1, 1500), coincident=st.floats(0.0, 0.9),
+       h=st.sampled_from((0.02, 0.1, 0.5, 2.0, 10.0)), ends=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+def test_territory_sides_equal_the_full_kernel(seed, d, m, rows, coincident, h, ends):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, d))
+    dup = int(coincident * m)
+    pts[m - dup :] = pts[rng.integers(0, m - dup, dup)]  # coincident training points
+    queries = rng.uniform(-4.0, 4.0, (rows, d))
+    queries[: min(rows, m)] = pts[: min(rows, m)]  # queries on training points
+    model = fit_kde(pts, h)
+    blocks = density._sample_blocks(queries)
+    exact = log_density_many(model, blocks.points)
+    ranked = np.sort(exact)
+    lo, hi = sorted(ranked[int(end * (rows - 1))] for end in ends)  # ends on sample values
+    sides = density._territory_sides(model, blocks, lo, hi)
+    np.testing.assert_array_equal(sides, (exact >= lo) & (exact <= hi))
 
 
 def _assert_within_rounding_of_scipy(got, expected):

@@ -392,32 +392,31 @@ def test_v3_matches_every_sample_definition(name):
         assert ambiguous_v3(ds, profiles, mc_samples, seed) == _v3_by_definition(
             ds, profiles, mc_samples, seed
         )
-    samples = _v3_samples(ds, mc_samples, 0)
+    blocks = density._sample_blocks(_v3_samples(ds, mc_samples, 0))
     for p in profiles:
         lo, hi = p.territory
-        full = log_density_many(p.model, samples)
-        column = density._log_density_above(p.model, samples, lo)
-        np.testing.assert_array_equal((column >= lo) & (column <= hi), (full >= lo) & (full <= hi))
-        # kept rows carry the kernel's bits; dropped rows are exactly below lo
-        kept = column.view(np.uint64) == full.view(np.uint64)
-        assert np.all(kept | ((column == -np.inf) & (full < lo)))
+        full = log_density_many(p.model, blocks.points)
+        sides = density._territory_sides(p.model, blocks, lo, hi)
+        np.testing.assert_array_equal(sides, (full >= lo) & (full <= hi))
 
 
 def test_v3_evaluates_fewer_samples_than_drawn(monkeypatch):
     ds = two_rings(seed=9, m1=120, m2=160)
     profiles = fit_profiles(ds, canonicalize(ds.reference_labels), KdiParams(seed=0))
     expected = ambiguous_v3(ds, profiles, 20000, 1)
-    rows = []
-    log_kde = density._log_kde
+    pairs = []
+    cdist = density.cdist
 
-    def counting(queries, points, hs):
-        rows.append(len(queries))
-        return log_kde(queries, points, hs)
+    def counting(*args, **kwargs):
+        out = cdist(*args, **kwargs)
+        pairs.append(out.size)
+        return out
 
-    monkeypatch.setattr(density, "_log_kde", counting)
+    monkeypatch.setattr(density, "cdist", counting)
     assert ambiguous_v3(ds, profiles, 20000, 1) == expected
-    # the kernel sees only the rows that can reach a territory
-    assert 0 < sum(rows) < 0.5 * 20000 * len(profiles), rows
+    # only the blocks near a territory meet the kernel, each with the points
+    # near its box: 10 % of mc_samples x m here
+    assert 0 < sum(pairs) < 0.25 * 20000 * ds.n, sum(pairs)
 
 
 def test_sv1_all_equal_degenerate_counts_full():

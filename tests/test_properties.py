@@ -6,6 +6,7 @@ import math
 import types
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -144,3 +145,9 @@ def test_partition_members_are_each_clusters_ascending_indices(raw):
     for idx, want in zip(got, expected):
         assert idx.dtype.kind == "i" and np.array_equal(idx, want)
     assert np.array_equal(np.sort(np.concatenate(got)), np.arange(part.n))
+    # computed once: a second read gives the same arrays, which refuse writes
+    again = part.members
+    assert all(a is b for a, b in zip(got, again))
+    for idx in again:
+        with pytest.raises(ValueError):
+            idx[0] = 0
