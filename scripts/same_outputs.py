@@ -19,7 +19,12 @@ fallback bandwidth, clusters fall below the CV bound's size gate and GMM runs
 at high k.  The n=400 `two_rings` dataset is also evaluated with
 `build_run_config(seed=seed, include_variants=True)`, keyed
 `variants400/two_rings/<seed>`: the Monte-Carlo variant then meets
-singletons, small clusters and many profiles.  The digest of an evaluation
+singletons, small clusters and many profiles.  Each default-config
+evaluation is then repeated on its own candidates as `kdeval rank` runs it:
+the candidate directory its report wrote (with `save_partitions`) is read
+back with `load_partitions` and passed to `evaluate_dataset(candidates=...)`,
+keyed `rank400/<recipe>/<seed>`, so the manifest reader and `canonicalize`
+on labels read from files are covered.  The digest of an evaluation
 is a SHA-256 over the relative path and bytes of every file it wrote except
 runtime.txt, the candidate directory included.  Each seed also runs
 `calibrate` with `build_run_config(seed=seed, k_min=2, k_max=6)` on those
@@ -27,9 +32,9 @@ three n=400 datasets, and the SHA-256 of the `calibrated.ini` it writes is
 keyed `calibrate/<seed>`.
 
 Standard output is one JSON object: each root's digest per
-`workload/seed/index`, `default400/recipe/seed`, `variants400/two_rings/seed`
-and `calibrate/seed`, the count of evaluations, and the keys whose digests
-differ between the roots.  The exit status is 1 when any key differs and 2
+`workload/seed/index`, `default400/recipe/seed`, `rank400/recipe/seed`,
+`variants400/two_rings/seed` and `calibrate/seed`, the count of
+evaluations, and the keys whose digests differ between the roots.  The exit status is 1 when any key differs and 2
 when the evaluations of a root fail.
 """
 
@@ -76,11 +81,12 @@ def child(root, seeds):
     recipes = {workload.recipe.__name__: workload.recipe for workload in WORKLOADS.values()}
     digests = {}
     with tempfile.TemporaryDirectory() as work:
-        def record(key, config, dataset):
+        def record(key, config, dataset, candidates=None):
             out = os.path.join(work, key.replace("/", "_"))
-            report = kdeval.harness.evaluate_dataset(config, dataset)
+            report = kdeval.harness.evaluate_dataset(config, dataset, candidates=candidates)
             kdeval.harness.write_report(report, out, dataset=dataset, emit_svgs=config.emit_svg)
             digests[key] = tree_digest(out)
+            return out
 
         for name, workload in WORKLOADS.items():
             for seed in seeds:
@@ -97,7 +103,9 @@ def child(root, seeds):
             for recipe_name, recipe in recipes.items():
                 points, labels = recipe(np.random.default_rng((seed, 0)), DEFAULT_N)
                 datasets.append(kdeval.data_io.Dataset(points, labels, id=recipe_name))
-                record(f"default{DEFAULT_N}/{recipe_name}/{seed}", config, datasets[-1])
+                out = record(f"default{DEFAULT_N}/{recipe_name}/{seed}", config, datasets[-1])
+                supplied = kdeval.partitions.load_partitions(os.path.join(out, "candidates"))
+                record(f"rank{DEFAULT_N}/{recipe_name}/{seed}", config, datasets[-1], supplied)
                 if recipe_name == "two_rings":
                     record(f"variants{DEFAULT_N}/{recipe_name}/{seed}",
                            kdeval.build_run_config(seed=seed, include_variants=True), datasets[-1])

@@ -7,7 +7,7 @@ import configparser
 import dataclasses
 import os
 
-from .density import DEFAULT_FOLDS, BandwidthSearchSpec
+from .density import DEFAULT_FOLDS, BandwidthSearchSpec, _check_count, _check_flag
 from .kdi import KdiParams
 from .partitions import GENERATORS
 
@@ -33,22 +33,18 @@ class RunConfig:
     folds: int = DEFAULT_FOLDS
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ValueError("seed is mandatory")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.k_min < 1 or self.k_max < self.k_min:
-            raise ValueError(f"bad k range [{self.k_min}, {self.k_max}]")
-        if not self.indices:
-            raise ValueError("indices must name at least one index")
-        unknown = set(self.indices) - set(DEFAULT_INDICES)
-        if unknown:
-            raise ValueError(f"unknown indices: {sorted(unknown)}")
-        if not self.generators:
-            raise ValueError("generators must name at least one generator")
-        unknown = set(self.generators) - set(GENERATORS)
-        if unknown:
-            raise ValueError(f"unknown generators: {sorted(unknown)}")
+        for name, least in (("seed", 0), ("k_min", 1), ("k_max", self.k_min)):
+            _check_count(name, getattr(self, name), least)
+        for name in ("emit_svg", "include_variants"):
+            _check_flag(name, getattr(self, name))
+        for name, noun, allowed in (("indices", "index", DEFAULT_INDICES),
+                                    ("generators", "generator", GENERATORS)):
+            names = getattr(self, name)
+            if isinstance(names, str) or not names:
+                raise ValueError(f"{name} must name at least one {noun} as a sequence, got {names!r}")
+            unknown = sorted({str(v) for v in names if v not in allowed})
+            if unknown:
+                raise ValueError(f"unknown {name}: {unknown}")
         if not 0.0 <= self.boundary_mix_weight <= 1.0:
             raise ValueError("boundary_mix_weight must be in [0, 1]")
         if self.kdi_params is None:

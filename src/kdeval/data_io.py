@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 
+from .density import _check_choice, _check_count
 from .partitions import canonicalize
 
 FORMATS = ("csv", "whitespace", "arff")
@@ -189,8 +190,7 @@ def load_dataset(path, format="csv", label_column=None, id=None):
     Raises ParseError with a line number on malformed content and
     EmptyDataError on files with no data rows.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    _check_choice("format", format, FORMATS)
     path = str(path)
     dataset_id = id if id is not None else _stem(path)
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -234,8 +234,8 @@ def make_blobs(k, per_cluster, centers, sigma, seed, id=None):
     Returns a Dataset whose reference labels are the generating component.
     Deterministic for a fixed seed.
     """
-    if k < 1 or per_cluster < 1:
-        raise ValueError("k and per_cluster must be >= 1")
+    _check_count("k", k, 1)
+    _check_count("per_cluster", per_cluster, 1)
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     centers = [np.asarray(c, dtype=np.float64).ravel() for c in centers]

@@ -76,10 +76,24 @@ class DensityModel:
         return self.training_points.shape[1]
 
 
-def _check_count(name, value, least):
-    """Raise ValueError unless value is an integer (numpy's included, bool not) >= least."""
-    if not (np.issubdtype(type(value), np.integer) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name, value, least, most=math.inf):
+    """Raise ValueError unless value is an integer (numpy's included, bool not)
+    in least..most."""
+    if not (np.issubdtype(type(value), np.integer) and least <= value <= most):
+        bounds = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _check_flag(name, value):
+    """Raise ValueError unless value is a bool (numpy's included)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def _check_choice(name, value, allowed):
+    """Raise ValueError unless value is one of the tuple allowed."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -77,20 +77,18 @@ def rank_candidates(entries, direction):
 
     entries: (value-or-None, K, source) per candidate.  Sorting follows the
     index direction; ties break toward smaller K, then lexicographic source
-    tag; undefined (None or non-finite) scores always rank last.
+    tag, then position; undefined (None or non-finite) scores always rank last.
     """
     if not entries:
         raise ValueError("nothing to rank")
-    keyed = []
-    for pos, (value, k, source) in enumerate(entries):
+    sign = -1.0 if direction == HIGHER_BETTER else 1.0
+
+    def key(pos):
+        value, k, source = entries[pos]
         defined = value is not None and math.isfinite(value)
-        if defined:
-            sort_value = -float(value) if direction == HIGHER_BETTER else float(value)
-            keyed.append((0, sort_value, int(k), str(source), pos))
-        else:
-            keyed.append((1, 0.0, int(k), str(source), pos))
-    keyed.sort(key=lambda t: t[:4])
-    return [t[4] for t in keyed]
+        return (not defined, sign * float(value) if defined else 0.0, int(k), str(source))
+
+    return sorted(range(len(entries)), key=key)  # stable, so equal keys keep position order
 
 
 def _candidates(config, dataset):
@@ -408,10 +406,9 @@ def calibrate(config, training_datasets, out_path=None):
                 order = rank_candidates(entries, SMALLER_BETTER)
                 if aris[order[0]] > SUCCESS_THRESHOLD:
                     successes[(delta, alpha)] += 1
-    cells = sorted(
-        successes.items(), key=lambda item: (-item[1], abs(item[0][0] - 0.5), item[0][1])
+    best_delta, best_alpha = min(
+        successes, key=lambda cell: (-successes[cell], abs(cell[0] - 0.5), cell[1])
     )
-    (best_delta, best_alpha), _count = cells[0]
     best = dataclasses.replace(base, delta=best_delta, alpha1=best_alpha, alpha2=best_alpha)
     if out_path is not None:
         save_params_config(out_path, best, seed=config.seed)

@@ -19,7 +19,9 @@ import numpy as np
 
 from .density import (
     BandwidthSearchSpec,
+    _check_choice,
     _check_count,
+    _check_flag,
     _sample_blocks,
     _territory_sides,
     choose_bandwidth,
@@ -70,12 +72,12 @@ class KdiParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name, least in (("mc_samples", 1), ("min_cluster_size", 0), ("seed", 0)):
             _check_count(name, getattr(self, name), least)
+        for name in ("pair_local", "boundary_members_only", "s_v3_normalize"):
+            _check_flag(name, getattr(self, name))
         for name, allowed in (("ambiguous_variant", tuple(AMBIGUOUS)),
                               ("similarity_variant", tuple(SIMILARITY)),
                               ("s_v3_center", S_V3_CENTERS), ("s_v3_metric", S_V3_METRICS)):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+            _check_choice(name, getattr(self, name), allowed)
 
 
 @dataclass(frozen=True)
@@ -352,10 +354,8 @@ def similarity_v3(profiles, n_total, center="mean", metric="abs", normalize=Fals
     the result to [0, 1]; the raw value is otherwise unbounded.  Clusters are
     weighted by size (the result is the grand mean over points).
     """
-    if center not in S_V3_CENTERS:
-        raise ValueError(f"center must be one of {S_V3_CENTERS}, got {center!r}")
-    if metric not in S_V3_METRICS:
-        raise ValueError(f"metric must be one of {S_V3_METRICS}, got {metric!r}")
+    _check_choice("center", center, S_V3_CENTERS)
+    _check_choice("metric", metric, S_V3_METRICS)
     contributions = []
     for profile in profiles:
         g = profile.g

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import cdist
 
-from .density import KERNEL_BLOCK, _logsumexp
+from .density import KERNEL_BLOCK, _check_choice, _check_count, _logsumexp
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
@@ -77,13 +77,10 @@ def canonicalize(labels, source=""):
     raw = np.asarray(labels).ravel()
     if raw.shape[0] == 0:
         raise ValueError("cannot canonicalize an empty label sequence")
-    mapping = {}
-    out = np.empty(raw.shape[0], dtype=np.int64)
-    for i, value in enumerate(raw.tolist()):
-        if value not in mapping:
-            mapping[value] = len(mapping)
-        out[i] = mapping[value]
-    return Partition(labels=out, K=len(mapping), source=source)
+    values = raw.tolist()
+    codes = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    out = np.fromiter(map(codes.__getitem__, values), dtype=np.int64, count=len(values))
+    return Partition(labels=out, K=len(codes), source=source)
 
 
 def _derive_seed(*parts):
@@ -161,8 +158,7 @@ def kmeans(data, k, seed):
     large that it overflows).
     """
     X = data.points
-    if not 1 <= k <= X.shape[0]:
-        raise ValueError(f"k must be in 1..n={X.shape[0]}, got {k}")
+    _check_count("k", k, 1, X.shape[0])
     rng = np.random.default_rng(seed)
     centers = np.stack([_kpp_init(X, k, rng) for _ in range(KMEANS_RESTARTS)])
     stack = max(1, KERNEL_BLOCK // (X.shape[0] * k))
@@ -257,9 +253,7 @@ def gmm_em(data, k, seed, init=None):
     regularization triggers a reseeded retry, up to EM_MAX_RESTARTS extra
     attempts, and a retry of the k-means init runs its own kmeans.
     """
-    X = data.points
-    if not 1 <= k <= X.shape[0]:
-        raise ValueError(f"k must be in 1..n={X.shape[0]}, got {k}")
+    _check_count("k", k, 1, data.points.shape[0])
     results = []
     last_error = None
     attempt = 0
@@ -282,12 +276,6 @@ def gmm_em(data, k, seed, init=None):
     return canonicalize(results[0][2], source=f"gmm-k{k}")
 
 
-def _linkage_tree(data, method):
-    if method not in LINKAGES:
-        raise ValueError(f"linkage must be one of {LINKAGES}, got {method!r}")
-    return linkage(data.points, method=method)
-
-
 def _cut_tree(tree, n, k, source):
     """Partition of n points cut from a linkage tree at k clusters; k == n
     gives singletons and needs no tree."""
@@ -298,9 +286,9 @@ def _cut_tree(tree, n, k, source):
 def agglomerative(data, k, linkage_method):
     """Bottom-up merging (Lance-Williams distances) cut at k clusters."""
     n = data.points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..n={n}, got {k}")
-    tree = _linkage_tree(data, linkage_method) if k < n else None
+    _check_count("k", k, 1, n)
+    _check_choice("linkage", linkage_method, LINKAGES)
+    tree = linkage(data.points, method=linkage_method) if k < n else None
     return _cut_tree(tree, n, k, f"agg-{linkage_method}-k{k}")
 
 
@@ -313,17 +301,18 @@ def build_candidates(data, k_range, seed, generators=GENERATORS):
     recorded as a warning and skipped.  Order is (k, generator order) with
     the reference last, and the result is deterministic given the seed.
     """
-    ks = sorted(set(int(k) for k in k_range))
+    ks = tuple(k_range)
     if not ks:
         raise ValueError("k_range is empty")
-    if ks[0] < 1 or ks[-1] > data.n:
-        raise ValueError(f"k_range must lie within 1..n={data.n}")
+    for k in ks:
+        _check_count("k", k, 1, data.n)
+    ks = sorted(set(ks))
     trees = {}
     for method in LINKAGES:
         if f"agg-{method}" not in generators:
             continue
         try:
-            trees[method] = _linkage_tree(data, method)
+            trees[method] = linkage(data.points, method=method)
         except Exception as exc:  # pragma: no cover - scipy failures are exotic
             warnings.warn(f"linkage {method} failed: {exc}")
     kept = {}  # key -> candidate; assigning to a present key keeps its position

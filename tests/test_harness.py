@@ -1053,10 +1053,10 @@ def test_cli_calibrate_unreadable_train_list_is_data_error(tmp_path, capsys):
 def test_run_config_built_directly():
     assert RunConfig(seed=4).kdi_params == KdiParams(seed=4)
     for kwargs, message in (
-        (dict(seed=None), "seed is mandatory"),
-        (dict(seed=-1), "seed must be >= 0, got -1"),
-        (dict(seed=1, k_min=0), "bad k range [0, 30]"),
-        (dict(seed=1, k_min=5, k_max=4), "bad k range [5, 4]"),
+        (dict(seed=None), "seed must be an integer >= 0, got None"),
+        (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+        (dict(seed=1, k_min=0), "k_min must be an integer >= 1, got 0"),
+        (dict(seed=1, k_min=5, k_max=4), "k_max must be an integer >= 5, got 4"),
         (dict(seed=1, indices=()), "indices must name at least one index"),
         (dict(seed=1, indices=("ch", "foo")), "unknown indices: ['foo']"),
         (dict(seed=1, generators=()), "generators must name at least one generator"),

@@ -1,6 +1,8 @@
 """Property tests: the public surface, relabelling invariance of every index
-variant, and the range of the scores on degenerate inputs."""
+variant, the range of the scores on degenerate inputs, and the orderings of
+candidate rankings and label numbering."""
 
+import functools
 import itertools
 import math
 import types
@@ -11,10 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kdeval
+from kdeval.baselines import HIGHER_BETTER, SMALLER_BETTER
 from kdeval.config import build_run_config
 from kdeval.data_io import Dataset
 from kdeval.density import DEFAULT_FOLDS
-from kdeval.harness import evaluate_dataset
+from kdeval.harness import evaluate_dataset, rank_candidates
 from kdeval.kdi import AMBIGUOUS, SIMILARITY, KdiParams, fit_profiles, kdi_index
 from kdeval.partitions import Partition, canonicalize
 
@@ -151,3 +154,66 @@ def test_partition_members_are_each_clusters_ascending_indices(raw):
     for idx in again:
         with pytest.raises(ValueError):
             idx[0] = 0
+
+
+def _ranks_before(a, b, direction):
+    """Whether candidate a = (value, K, source, position) ranks before b: a
+    defined score first, then the better score in the direction, then the
+    smaller K, source and position."""
+    (va, ka, sa, pa), (vb, kb, sb, pb) = a, b
+    da, db = (v is not None and math.isfinite(v) for v in (va, vb))
+    if da != db:
+        return da
+    if da and va != vb:
+        return va > vb if direction == HIGHER_BETTER else va < vb
+    return (ka, sa, pa) < (kb, sb, pb)
+
+
+SCORES = st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5]),
+                   st.floats(-2, 2, width=16))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(entries=st.lists(st.tuples(SCORES, st.integers(1, 3), st.sampled_from("abc")),
+                        min_size=1, max_size=12),
+       direction=st.sampled_from((HIGHER_BETTER, SMALLER_BETTER)))
+def test_rank_candidates_follows_its_definition(entries, direction):
+    cands = [(*entry, pos) for pos, entry in enumerate(entries)]
+
+    def cmp(i, j):
+        return -1 if _ranks_before(cands[i], cands[j], direction) else 1
+
+    expected = sorted(range(len(cands)), key=functools.cmp_to_key(cmp))
+    assert rank_candidates(entries, direction) == expected
+
+
+def _first_occurrence_codes(labels):
+    """Each label's code: the number of distinct labels (by identity or
+    equality) that first occur before its own first occurrence."""
+    firsts, codes = [], []
+    for value in labels:
+        code = next((c for c, f in enumerate(firsts) if f is value or f == value), len(firsts))
+        if code == len(firsts):
+            firsts.append(value)
+        codes.append(code)
+    return codes, len(firsts)
+
+
+SHARED_NAN = float("nan")
+OBJECT_LABELS = st.one_of(
+    st.integers(-2, 2), st.sampled_from(["a", "b", "1"]),
+    st.tuples(st.integers(0, 1), st.sampled_from("xy")),
+    st.just(SHARED_NAN), st.builds(float, st.just("nan")),  # one nan object, and fresh ones
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(labels=st.lists(OBJECT_LABELS, min_size=1, max_size=20))
+def test_canonicalize_numbers_object_labels_by_first_occurrence(labels):
+    raw = np.empty(len(labels), dtype=object)
+    for i, value in enumerate(labels):  # element-wise, so tuples stay single labels
+        raw[i] = value
+    codes, K = _first_occurrence_codes(labels)
+    part = canonicalize(raw)
+    assert part.K == K
+    assert part.labels.tolist() == codes
